@@ -49,17 +49,21 @@ impl Summary {
 // series, so the empty sentinels are *omitted* on the wire and restored on
 // deserialization.
 impl Serialize for Summary {
-    fn serialize(&self) -> Value {
-        let mut map = vec![
-            ("count".to_string(), Value::U64(self.count as u64)),
-            ("mean".to_string(), Value::F64(self.mean)),
-        ];
+    fn serialize<S: serde::Serializer>(&self, out: &mut S) {
+        out.begin_map();
+        out.key("count");
+        out.u64(self.count as u64);
+        out.key("mean");
+        out.f64(self.mean);
         if self.count > 0 {
-            map.push(("min".to_string(), Value::F64(self.min)));
-            map.push(("max".to_string(), Value::F64(self.max)));
+            out.key("min");
+            out.f64(self.min);
+            out.key("max");
+            out.f64(self.max);
         }
-        map.push(("std_dev".to_string(), Value::F64(self.std_dev)));
-        Value::Map(map)
+        out.key("std_dev");
+        out.f64(self.std_dev);
+        out.end_map();
     }
 }
 

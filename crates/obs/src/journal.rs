@@ -49,12 +49,14 @@ impl std::fmt::Display for JournalFormat {
 
 /// Streams every recorded event to a writer as one JSON object per line.
 ///
-/// This is the offline sink: serialization allocates, so keep it off the
-/// allocation-free hot path (the cluster tees into it only at sample
-/// boundaries when a journal is attached). Write errors are latched into
+/// This is the offline sink: it formats text, so keep it off the hot path
+/// (the cluster tees into it only at sample boundaries when a journal is
+/// attached). Each line is built in one reused buffer and handed to the
+/// writer in a single `write_all`. Write errors are latched into
 /// [`JournalWriter::io_error`] rather than panicking mid-simulation.
 pub struct JournalWriter<W: Write> {
     out: W,
+    line: String,
     written: u64,
     io_error: Option<io::Error>,
 }
@@ -63,7 +65,7 @@ impl<W: Write> JournalWriter<W> {
     /// Wraps a writer. Callers wanting buffering should pass a
     /// `BufWriter` themselves.
     pub fn new(out: W) -> Self {
-        Self { out, written: 0, io_error: None }
+        Self { out, line: String::new(), written: 0, io_error: None }
     }
 
     /// Records successfully written so far.
@@ -91,14 +93,10 @@ impl<W: Write> EventSink for JournalWriter<W> {
         if self.io_error.is_some() {
             return;
         }
-        let line = match serde_json::to_string(rec) {
-            Ok(line) => line,
-            Err(err) => {
-                self.io_error = Some(io::Error::new(io::ErrorKind::InvalidData, err.to_string()));
-                return;
-            }
-        };
-        match self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n")) {
+        self.line.clear();
+        serde_json::to_string_into(&mut self.line, rec);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(err) => self.io_error = Some(err),
         }

@@ -133,6 +133,37 @@ pub struct JobSnapshot {
     pub events_len: usize,
 }
 
+/// The job-status document (`docs/FORMATS.md` §6): `id`, `tenant`, `name`,
+/// `status`, `events`, then `digest`, `error` and `report` when present.
+impl serde::Serialize for JobSnapshot {
+    fn serialize<S: serde::Serializer>(&self, out: &mut S) {
+        out.begin_map();
+        out.key("id");
+        out.u64(self.id);
+        out.key("tenant");
+        out.str(&self.tenant);
+        out.key("name");
+        out.str(&self.name);
+        out.key("status");
+        out.str(self.status.as_str());
+        out.key("events");
+        out.u64(self.events_len as u64);
+        if let Some(digest) = &self.digest {
+            out.key("digest");
+            out.str(digest);
+        }
+        if let Some(error) = &self.error {
+            out.key("error");
+            out.str(error);
+        }
+        if let Some(report) = &self.report {
+            out.key("report");
+            report.serialize(out);
+        }
+        out.end_map();
+    }
+}
+
 struct Job {
     id: JobId,
     tenant: String,
@@ -159,6 +190,21 @@ struct State {
     rejected: u64,
     completed: u64,
     failed: u64,
+}
+
+impl State {
+    /// The job with `id`. Ids are dense from 1 and jobs are never removed,
+    /// so job `id` sits at index `id - 1`; unknown ids give `None`.
+    fn job(&self, id: JobId) -> Option<&Job> {
+        let job = self.jobs.get(usize::try_from(id.checked_sub(1)?).ok()?)?;
+        (job.id == id).then_some(job)
+    }
+
+    /// Mutable [`State::job`].
+    fn job_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        let job = self.jobs.get_mut(usize::try_from(id.checked_sub(1)?).ok()?)?;
+        (job.id == id).then_some(job)
+    }
 }
 
 struct Inner {
@@ -271,7 +317,7 @@ impl JobQueue {
         let mut state = self.lock();
         loop {
             if let Some(id) = state.pending.pop_front() {
-                let job = state.jobs.iter_mut().find(|j| j.id == id).expect("pending job exists");
+                let job = state.job_mut(id).expect("pending job exists");
                 job.status = JobStatus::Running;
                 let scenario = job.scenario.take().expect("queued job holds its scenario");
                 self.inner.progress.notify_all();
@@ -285,7 +331,7 @@ impl JobQueue {
     pub fn try_claim(&self) -> Option<(JobId, Scenario)> {
         let mut state = self.lock();
         let id = state.pending.pop_front()?;
-        let job = state.jobs.iter_mut().find(|j| j.id == id).expect("pending job exists");
+        let job = state.job_mut(id).expect("pending job exists");
         job.status = JobStatus::Running;
         let scenario = job.scenario.take().expect("queued job holds its scenario");
         self.inner.progress.notify_all();
@@ -296,17 +342,20 @@ impl JobQueue {
     /// `EventSink` tee lands here).
     pub fn append_event(&self, id: JobId, rec: EventRecord) {
         let mut state = self.lock();
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
+        if let Some(job) = state.job_mut(id) {
             job.events.push(rec);
         }
         self.inner.progress.notify_all();
     }
 
-    /// Marks a job `Done`, storing its report and FNV digest.
+    /// Marks a job `Done`, storing its report and FNV digest. The digest
+    /// serializes the whole report, so it is computed before taking the
+    /// lock that event appends and SSE readers of other jobs wait on.
     pub fn complete(&self, id: JobId, report: RunReport) {
+        let digest = report_digest(&report);
         let mut state = self.lock();
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
-            job.digest = Some(report_digest(&report));
+        if let Some(job) = state.job_mut(id) {
+            job.digest = Some(digest);
             job.report = Some(report);
             job.status = JobStatus::Done;
             job.events_done = true;
@@ -318,7 +367,7 @@ impl JobQueue {
     /// Marks a job `Failed` with a named reason.
     pub fn fail(&self, id: JobId, error: String) {
         let mut state = self.lock();
-        if let Some(job) = state.jobs.iter_mut().find(|j| j.id == id) {
+        if let Some(job) = state.job_mut(id) {
             job.error = Some(error);
             job.status = JobStatus::Failed;
             job.events_done = true;
@@ -330,7 +379,7 @@ impl JobQueue {
     /// Public snapshot of one job; `None` for unknown ids.
     pub fn snapshot(&self, id: JobId) -> Option<JobSnapshot> {
         let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|job| JobSnapshot {
+        state.job(id).map(|job| JobSnapshot {
             id: job.id,
             tenant: job.tenant.clone(),
             name: job.name.clone(),
@@ -364,13 +413,13 @@ impl JobQueue {
     /// The scenario timestep of a job (needed to render its bjl journal).
     pub fn dt_s(&self, id: JobId) -> Option<f64> {
         let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|j| j.dt_s)
+        state.job(id).map(|j| j.dt_s)
     }
 
     /// All journal events captured for a job so far.
     pub fn events(&self, id: JobId) -> Option<Vec<EventRecord>> {
         let state = self.lock();
-        state.jobs.iter().find(|j| j.id == id).map(|j| j.events.clone())
+        state.job(id).map(|j| j.events.clone())
     }
 
     /// Waits up to `timeout` for events past index `from`, returning the
@@ -386,7 +435,7 @@ impl JobQueue {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.lock();
         loop {
-            let job = state.jobs.iter().find(|j| j.id == id)?;
+            let job = state.job(id)?;
             if job.events.len() > from || job.events_done {
                 let fresh = job.events.get(from..).unwrap_or(&[]).to_vec();
                 return Some((fresh, job.events_done));
@@ -402,7 +451,7 @@ impl JobQueue {
                 .expect("queue lock poisoned");
             state = next;
             if timed_out.timed_out() {
-                let job = state.jobs.iter().find(|j| j.id == id)?;
+                let job = state.job(id)?;
                 let fresh = if job.events.len() > from {
                     job.events.get(from..).unwrap_or(&[]).to_vec()
                 } else {
@@ -419,7 +468,7 @@ impl JobQueue {
         let mut state = self.lock();
         loop {
             let finished = {
-                let job = state.jobs.iter().find(|j| j.id == id)?;
+                let job = state.job(id)?;
                 matches!(job.status, JobStatus::Done | JobStatus::Failed)
             };
             if finished {
@@ -496,6 +545,25 @@ mod tests {
         assert_eq!(snap.status, JobStatus::Done);
         assert!(snap.digest.as_deref().unwrap_or("").starts_with("fnv1a64:"), "{snap:?}");
         assert!(snap.report.is_some());
+    }
+
+    #[test]
+    fn lookups_index_by_id_and_reject_unknown_ids() {
+        let queue = JobQueue::new(QueueConfig { capacity: 4, tenant_quota: 4 });
+        let ids: Vec<JobId> = (0..3).map(|_| queue.submit("t", tiny()).expect("submit")).collect();
+        assert_eq!(ids, [1, 2, 3], "ids are dense from 1");
+        for &id in &ids {
+            assert_eq!(queue.snapshot(id).expect("known id").id, id);
+        }
+        for unknown in [0, 4, u64::MAX] {
+            assert!(queue.snapshot(unknown).is_none(), "id {unknown}");
+            assert!(queue.wait_events(unknown, 0, Duration::ZERO).is_none(), "id {unknown}");
+            queue.append_event(
+                unknown,
+                EventRecord { time_s: 0.0, node: 0, event: unitherm_obs::Event::FailsafeRelease },
+            );
+        }
+        assert!(ids.iter().all(|&id| queue.events(id).unwrap().is_empty()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! every route reads or writes through the shared [`JobQueue`], so HTTP
 //! concurrency and simulation concurrency stay decoupled.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -93,55 +93,18 @@ impl Server {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A string as a quoted, escaped JSON string.
+fn json_str(s: &str) -> String {
+    serde_json::to_string(&s).expect("strings always serialize")
 }
 
 /// Renders the job-status JSON document (`docs/FORMATS.md` §6).
 fn job_status_json(snap: &JobSnapshot) -> String {
-    let mut out = format!(
-        "{{\"id\":{},\"tenant\":\"{}\",\"name\":\"{}\",\"status\":\"{}\",\"events\":{}",
-        snap.id,
-        json_escape(&snap.tenant),
-        json_escape(&snap.name),
-        snap.status.as_str(),
-        snap.events_len
-    );
-    if let Some(digest) = &snap.digest {
-        out.push_str(&format!(",\"digest\":\"{}\"", json_escape(digest)));
-    }
-    if let Some(error) = &snap.error {
-        out.push_str(&format!(",\"error\":\"{}\"", json_escape(error)));
-    }
-    if let Some(report) = &snap.report {
-        match serde_json::to_string(report) {
-            Ok(json) => out.push_str(&format!(",\"report\":{json}")),
-            Err(e) => out.push_str(&format!(
-                ",\"error\":\"report serialization: {}\"",
-                json_escape(&e.to_string())
-            )),
-        }
-    }
-    out.push('}');
-    out
+    serde_json::to_string(snap).expect("job snapshots always serialize")
 }
 
 fn error_json(error: &str, detail: &str) -> Vec<u8> {
-    format!("{{\"error\":\"{}\",\"detail\":\"{}\"}}", json_escape(error), json_escape(detail))
-        .into_bytes()
+    format!("{{\"error\":{},\"detail\":{}}}", json_str(error), json_str(detail)).into_bytes()
 }
 
 fn write_all(stream: &mut TcpStream, bytes: &[u8]) {
@@ -249,10 +212,8 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
     };
     match queue.submit(&tenant, scenario) {
         Ok(id) => {
-            let body = format!(
-                "{{\"id\":{id},\"status\":\"queued\",\"tenant\":\"{}\"}}",
-                json_escape(&tenant)
-            );
+            let body =
+                format!("{{\"id\":{id},\"status\":\"queued\",\"tenant\":{}}}", json_str(&tenant));
             write_all(
                 stream,
                 &render_response(
@@ -294,8 +255,9 @@ fn serve_submit(stream: &mut TcpStream, req: &Request, queue: &JobQueue) {
 }
 
 fn serve_job_list(stream: &mut TcpStream, queue: &JobQueue) {
-    let docs: Vec<String> = queue.snapshots().iter().map(job_status_json).collect();
-    let body = format!("{{\"jobs\":[{}]}}", docs.join(","));
+    let mut body = String::from("{\"jobs\":");
+    serde_json::to_string_into(&mut body, &queue.snapshots());
+    body.push('}');
     write_all(stream, &render_response(200, "OK", "application/json", &[], body.as_bytes()));
 }
 
@@ -345,10 +307,8 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
             let events = queue.events(id).unwrap_or_default();
             let mut body = String::new();
             for rec in &events {
-                if let Ok(line) = serde_json::to_string(rec) {
-                    body.push_str(&line);
-                    body.push('\n');
-                }
+                serde_json::to_string_into(&mut body, rec);
+                body.push('\n');
             }
             write_all(
                 stream,
@@ -376,21 +336,26 @@ fn serve_job_events(stream: &mut TcpStream, req: &Request, queue: &JobQueue, id:
 /// Streams a job's journal as SSE: one `event: journal` frame per record
 /// (whose `data:` payload is the exact JSONL line), keep-alive comments
 /// while idle, and a final `event: done` frame carrying the job-status
-/// document.
+/// document. Frames are buffered and flushed once per batch of events,
+/// always before blocking for the next batch, so a frame is never held
+/// back while the stream waits.
 fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
+    let mut out = BufWriter::new(stream);
+    if out.write_all(head.as_bytes()).is_err() {
         return;
     }
     let mut seq: u64 = 0;
     loop {
+        if out.flush().is_err() {
+            return;
+        }
         let Some((fresh, done)) = queue.wait_events(id, seq as usize, Duration::from_secs(1))
         else {
             return;
         };
         for rec in &fresh {
-            let frame = sse_journal_frame(seq, rec);
-            if stream.write_all(frame.as_bytes()).is_err() {
+            if out.write_all(sse_journal_frame(seq, rec).as_bytes()).is_err() {
                 return;
             }
             seq += 1;
@@ -400,17 +365,16 @@ fn stream_sse(stream: &mut TcpStream, queue: &JobQueue, id: JobId) {
                 .snapshot(id)
                 .map(|snap| job_status_json(&snap))
                 .unwrap_or_else(|| format!("{{\"id\":{id}}}"));
-            let _ = stream.write_all(sse_frame(None, Some("done"), &status).as_bytes());
-            let _ = stream.flush();
+            let _ = out.write_all(sse_frame(None, Some("done"), &status).as_bytes());
+            let _ = out.flush();
             return;
         }
         if fresh.is_empty() {
             // SSE comment line as a keep-alive so proxies don't cut us off.
-            if stream.write_all(b": keep-alive\n\n").is_err() {
+            if out.write_all(b": keep-alive\n\n").is_err() {
                 return;
             }
         }
-        let _ = stream.flush();
     }
 }
 

@@ -1,17 +1,24 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no crates.io access, so this workspace vendors a
-//! minimal serde-compatible surface: a self-describing [`Value`] tree, the
-//! [`Serialize`]/[`Deserialize`] traits expressed against it, and re-exported
-//! derive macros (see the sibling `serde_derive` shim). The supported feature
-//! set is exactly what this repository uses: named/tuple/generic structs,
-//! externally tagged enums, and the `default`, `default = "path"`, and `skip`
-//! field attributes.
+//! minimal serde-compatible surface and re-exports derive macros for it (see
+//! the sibling `serde_derive` shim). The two directions are asymmetric:
+//!
+//! - **Serialization streams.** [`Serialize`] writes a value as a sequence of
+//!   calls on a [`Serializer`] (`begin_map`, `key`, `f64`, …). No
+//!   intermediate tree is built; the `serde_json` shim's writer turns each
+//!   call directly into JSON text.
+//! - **Deserialization goes through a tree.** Parsers produce a
+//!   self-describing [`Value`], and [`Deserialize`] maps it onto a Rust type.
+//!
+//! The supported feature set is exactly what this repository uses:
+//! named/tuple/generic structs, externally tagged enums, and the `default`,
+//! `default = "path"`, and `skip` field attributes.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A self-describing data value — the meeting point between `Serialize`
-/// and data formats (the `serde_json` shim parses/prints this tree).
+/// A self-describing data value: what the `serde_json` shim's parser
+/// produces and [`Deserialize`] consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -119,10 +126,41 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can render itself as a [`Value`] tree.
+/// Receives one value as a stream of calls, in document order.
+///
+/// A sequence is `begin_seq`, one value per element, `end_seq`; a map is
+/// `begin_map`, then `key` followed by exactly one value per entry, then
+/// `end_map`. Nothing is buffered on the way: the `serde_json` shim's writer
+/// turns each call straight into output bytes.
+pub trait Serializer {
+    /// A null / absent value.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// A signed integer.
+    fn i64(&mut self, v: i64);
+    /// An unsigned integer.
+    fn u64(&mut self, v: u64);
+    /// A floating-point number.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence.
+    fn begin_seq(&mut self);
+    /// Closes the innermost open sequence.
+    fn end_seq(&mut self);
+    /// Opens a map.
+    fn begin_map(&mut self);
+    /// Writes the key of the next map entry; its value follows.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost open map.
+    fn end_map(&mut self);
+}
+
+/// A type that can write itself into a [`Serializer`].
 pub trait Serialize {
-    /// Serializes `self` into a value tree.
-    fn serialize(&self) -> Value;
+    /// Streams `self` into `out`.
+    fn serialize<S: Serializer>(&self, out: &mut S);
 }
 
 /// A type that can be reconstructed from a [`Value`] tree.
@@ -134,7 +172,7 @@ pub trait Deserialize: Sized {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value { Value::I64(*self as i64) }
+            fn serialize<S: Serializer>(&self, out: &mut S) { out.i64(*self as i64) }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -148,13 +186,7 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as u64;
-                match i64::try_from(v) {
-                    Ok(i) => Value::I64(i),
-                    Err(_) => Value::U64(v),
-                }
-            }
+            fn serialize<S: Serializer>(&self, out: &mut S) { out.u64(*self as u64) }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -169,8 +201,8 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.f64(*self)
     }
 }
 impl Deserialize for f64 {
@@ -180,8 +212,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(*self as f64)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.f64(f64::from(*self))
     }
 }
 impl Deserialize for f32 {
@@ -191,8 +223,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.bool(*self)
     }
 }
 impl Deserialize for bool {
@@ -205,8 +237,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self)
     }
 }
 impl Deserialize for String {
@@ -219,14 +251,18 @@ impl Deserialize for String {
 }
 
 impl Serialize for &str {
-    fn serialize(&self) -> Value {
-        Value::Str((*self).to_string())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.str(self)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        out.begin_seq();
+        for item in self {
+            item.serialize(out);
+        }
+        out.end_seq();
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -239,10 +275,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, out: &mut S) {
         match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
+            Some(v) => v.serialize(out),
+            None => out.null(),
         }
     }
 }
@@ -256,8 +292,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        (**self).serialize(out)
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -269,8 +305,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+);)*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
+            fn serialize<S: Serializer>(&self, out: &mut S) {
+                out.begin_seq();
+                $(self.$idx.serialize(out);)+
+                out.end_seq();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -294,9 +332,33 @@ impl_tuple! {
     (A: 0, B: 1, C: 2, D: 3);
 }
 
+/// Replays a parsed tree through the serializer, so a [`Value`] prints
+/// exactly as the typed data it was parsed from.
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize<S: Serializer>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::I64(i) => out.i64(*i),
+            Value::U64(u) => out.u64(*u),
+            Value::F64(f) => out.f64(*f),
+            Value::Str(s) => out.str(s),
+            Value::Seq(items) => {
+                out.begin_seq();
+                for item in items {
+                    item.serialize(out);
+                }
+                out.end_seq();
+            }
+            Value::Map(entries) => {
+                out.begin_map();
+                for (key, item) in entries {
+                    out.key(key);
+                    item.serialize(out);
+                }
+                out.end_map();
+            }
+        }
     }
 }
 impl Deserialize for Value {

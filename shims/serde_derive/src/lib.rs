@@ -1,8 +1,10 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against the
-//! value-tree model in the sibling `serde` shim, without depending on
-//! `syn`/`quote` (the build environment has no registry access). The parser
+//! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
+//! sibling `serde` shim, without depending on `syn`/`quote` (the build
+//! environment has no registry access). `Serialize` impls stream writer
+//! calls (`begin_map`, `key`, …) into a `serde::Serializer`;
+//! `Deserialize` impls read a parsed `serde::Value` tree. The parser
 //! walks the raw `proc_macro::TokenStream` and supports the shapes this
 //! workspace actually uses: named/tuple/unit structs (optionally generic),
 //! externally tagged enums with unit/newtype/tuple/struct variants, and the
@@ -352,20 +354,27 @@ fn impl_header(trait_name: &str, input: &Input) -> String {
     }
 }
 
+/// Writer calls for a map of the non-skipped `fields`, each read through
+/// `access` (`&self.` for structs, empty for bound variant fields).
 fn serialize_named_fields(fields: &[Field], access: &str) -> String {
-    let mut out = String::from(
-        "{ let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-    );
-    for f in fields {
-        if f.attrs.skip {
-            continue;
-        }
+    let mut out = String::from("__s.begin_map();\n");
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
         out.push_str(&format!(
-            "__fields.push((\"{0}\".to_string(), ::serde::Serialize::serialize({1}{0})));\n",
+            "__s.key(\"{0}\"); ::serde::Serialize::serialize({1}{0}, __s);\n",
             f.name, access
         ));
     }
-    out.push_str("::serde::Value::Map(__fields) }");
+    out.push_str("__s.end_map();");
+    out
+}
+
+/// Writer calls for a sequence of `items` (expressions yielding references).
+fn serialize_seq(items: impl Iterator<Item = String>) -> String {
+    let mut out = String::from("__s.begin_seq();\n");
+    for item in items {
+        out.push_str(&format!("::serde::Serialize::serialize({item}, __s);\n"));
+    }
+    out.push_str("__s.end_seq();");
     out
 }
 
@@ -398,60 +407,54 @@ fn gen_serialize(input: &Input) -> String {
     let header = impl_header("Serialize", input);
     let body = match &input.body {
         Body::NamedStruct(fields) => serialize_named_fields(fields, "&self."),
-        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        Body::TupleStruct(n) => {
-            let items: Vec<String> =
-                (0..*n).map(|i| format!("::serde::Serialize::serialize(&self.{i})")).collect();
-            format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-        }
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
+        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __s);".to_string(),
+        Body::TupleStruct(n) => serialize_seq((0..*n).map(|i| format!("&self.{i}"))),
+        Body::UnitStruct => "__s.null();".to_string(),
         Body::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let ty = &input.name;
                 let vn = &v.name;
-                match &v.body {
-                    VariantBody::Unit => arms.push_str(&format!(
-                        "{ty}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
-                    )),
-                    VariantBody::Tuple(1) => arms.push_str(&format!(
-                        "{ty}::{vn}(__f0) => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Serialize::serialize(__f0))]),\n"
-                    )),
+                // Externally tagged: a unit variant is its name; any other
+                // variant is a one-entry map from its name to its payload.
+                let (pattern, payload) = match &v.body {
+                    VariantBody::Unit => {
+                        arms.push_str(&format!("{ty}::{vn} => __s.str(\"{vn}\"),\n"));
+                        continue;
+                    }
+                    VariantBody::Tuple(1) => (
+                        format!("{ty}::{vn}(__f0)"),
+                        "::serde::Serialize::serialize(__f0, __s);".to_string(),
+                    ),
                     VariantBody::Tuple(n) => {
                         let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::serialize(__f{i})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{ty}::{vn}({}) => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Seq(vec![{}]))]),\n",
-                            binders.join(", "),
-                            items.join(", ")
-                        ));
+                        (
+                            format!("{ty}::{vn}({})", binders.join(", ")),
+                            serialize_seq(binders.into_iter()),
+                        )
                     }
                     VariantBody::Named(fields) => {
-                        let binders: Vec<String> = fields
+                        let binders: String = fields
                             .iter()
                             .filter(|f| !f.attrs.skip)
-                            .map(|f| f.name.clone())
+                            .map(|f| format!("{}, ", f.name))
                             .collect();
-                        let mut map_items = String::new();
-                        for f in fields.iter().filter(|f| !f.attrs.skip) {
-                            map_items.push_str(&format!(
-                                "(\"{0}\".to_string(), ::serde::Serialize::serialize({0})),",
-                                f.name
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{ty}::{vn} {{ {}, .. }} => ::serde::Value::Map(vec![(\"{vn}\".to_string(), ::serde::Value::Map(vec![{map_items}]))]),\n",
-                            binders.join(", ")
-                        ));
+                        (
+                            format!("{ty}::{vn} {{ {binders}.. }}"),
+                            serialize_named_fields(fields, ""),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!(
+                    "{pattern} => {{ __s.begin_map(); __s.key(\"{vn}\");\n{payload}\n__s.end_map(); }}\n"
+                ));
             }
             format!("match self {{\n{arms}}}")
         }
     };
-    format!("{header}{{ fn serialize(&self) -> ::serde::Value {{ {body} }} }}")
+    format!(
+        "{header}{{ fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{ {body} }} }}"
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {

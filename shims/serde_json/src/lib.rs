@@ -1,8 +1,16 @@
-//! Offline stand-in for `serde_json`: parses and pretty-prints JSON against
-//! the value-tree model of the `serde` shim. Supports the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers with exponents, booleans,
-//! null) plus the two entry points this workspace uses: [`from_str`] and
-//! [`to_string_pretty`].
+//! Offline stand-in for `serde_json`.
+//!
+//! Writing streams: one writer implements the `serde` shim's `Serializer`
+//! and appends JSON text as a value's `serialize` calls arrive, with no
+//! intermediate tree. [`to_string`] and [`to_string_into`] write compact
+//! JSON, [`to_string_pretty`] 2-space indented JSON; floats use Rust's
+//! shortest round-trip formatting (integral values below 1e16 keep a `.0`,
+//! non-finite values become `null`). In a large document std formats each
+//! distinct float once and repeats copy its text.
+//!
+//! Reading parses the full JSON grammar (objects, arrays, strings with
+//! escapes, numbers with exponents, booleans, null) into a `serde::Value`
+//! tree: [`parse_value`] returns it, [`from_str`] maps it onto a type.
 
 pub use serde::Value;
 
@@ -281,130 +289,257 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     T::deserialize(&value).map_err(|e| Error::new(e.to_string(), 0, 0))
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// The JSON writer: a [`serde::Serializer`] that appends each call's text
+/// to a `String` as it arrives. `PRETTY` selects 2-space indented output
+/// (`"key": value`, one element per line, `[]`/`{}` for empty containers)
+/// over compact output; the two share every rule but whitespace.
+struct Writer<'a, const PRETTY: bool> {
+    out: &'a mut String,
+    /// Open containers.
+    depth: usize,
+    /// No element has been written yet in the innermost open container.
+    first: bool,
+    /// A map key was just written; the next value belongs to it.
+    after_key: bool,
+    /// Floats std has formatted so far.
+    floats: usize,
+    /// Created once `floats` reaches [`FloatMemo::AFTER`].
+    memo: Option<FloatMemo>,
 }
 
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
+/// The text of recently written floats, keyed by bit pattern.
+///
+/// Formatting a float (std's shortest round-trip `{}`) is most of the
+/// writer's cost on a report, and reports repeat values heavily: every
+/// series of every node shares one sample-time grid, and temperatures are
+/// quantized. So each distinct value is formatted once by std and its
+/// bytes are copied after that; the output is the same bytes either way.
+/// A direct-mapped table: a slot holds the last value that hashed to it.
+struct FloatMemo {
+    slots: Vec<MemoSlot>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct MemoSlot {
+    bits: u64,
+    /// Text length; 0 marks an empty slot.
+    len: u8,
+    text: [u8; 23],
+}
+
+impl FloatMemo {
+    /// Documents with fewer floats (journal lines, configs) never build
+    /// the table.
+    const AFTER: usize = 256;
+    const SLOTS_LOG2: u32 = 12;
+
+    fn new() -> Self {
+        FloatMemo { slots: vec![MemoSlot::default(); 1 << Self::SLOTS_LOG2] }
+    }
+
+    fn index(bits: u64) -> usize {
+        (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - Self::SLOTS_LOG2)) as usize
+    }
+
+    fn get(&self, bits: u64) -> Option<&str> {
+        let slot = &self.slots[Self::index(bits)];
+        (slot.len != 0 && slot.bits == bits).then(|| {
+            std::str::from_utf8(&slot.text[..usize::from(slot.len)]).expect("memo holds text")
+        })
+    }
+
+    /// Remembers `text` for `bits`; texts too long for a slot are skipped.
+    fn put(&mut self, bits: u64, text: &str) {
+        let slot = &mut self.slots[Self::index(bits)];
+        if let Some(dst) = slot.text.get_mut(..text.len()) {
+            dst.copy_from_slice(text.as_bytes());
+            slot.bits = bits;
+            slot.len = text.len() as u8;
+        }
+    }
+}
+
+impl<'a, const PRETTY: bool> Writer<'a, PRETTY> {
+    fn new(out: &'a mut String) -> Self {
+        Writer { out, depth: 0, first: true, after_key: false, floats: 0, memo: None }
+    }
+
+    /// Separator and (pretty) line break before a sequence element or key.
+    fn element(&mut self) {
+        if self.depth > 0 {
+            if !self.first {
+                self.out.push(',');
+            }
+            if PRETTY {
+                self.newline();
+            }
+        }
+        self.first = false;
+    }
+
+    /// Called before every value: map values follow their key directly.
+    fn value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else {
+            self.element();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if PRETTY && !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    fn display(&mut self, v: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.out, "{v}");
+    }
+}
+
+impl<const PRETTY: bool> serde::Serializer for Writer<'_, PRETTY> {
+    fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.value();
+        self.display(v);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.value();
+        self.display(v);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.value();
+        if !v.is_finite() {
+            // serde_json emits null for non-finite floats.
+            self.out.push_str("null");
+            return;
+        }
+        let bits = v.to_bits();
+        if let Some(text) = self.memo.as_ref().and_then(|memo| memo.get(bits)) {
+            self.out.push_str(text);
+            return;
+        }
+        let start = self.out.len();
         if v == v.trunc() && v.abs() < 1e16 {
             // Match serde_json: integral floats keep a trailing `.0`.
-            out.push_str(&format!("{v:.1}"));
+            self.display(format_args!("{v:.1}"));
         } else {
-            out.push_str(&format!("{v}"));
+            self.display(v);
         }
-    } else {
-        // serde_json emits null for non-finite floats.
-        out.push_str("null");
+        self.floats += 1;
+        match &mut self.memo {
+            Some(memo) => memo.put(bits, &self.out[start..]),
+            None if self.floats == FloatMemo::AFTER => self.memo = Some(FloatMemo::new()),
+            None => {}
+        }
+    }
+
+    fn str(&mut self, v: &str) {
+        self.value();
+        escape_into(self.out, v);
+    }
+
+    fn begin_seq(&mut self) {
+        self.open('[');
+    }
+
+    fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_map(&mut self) {
+        self.open('{');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.element();
+        escape_into(self.out, key);
+        self.out.push_str(if PRETTY { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    fn end_map(&mut self) {
+        self.close('}');
     }
 }
 
-fn write_pretty(out: &mut String, v: &Value, indent: usize) {
-    const PAD: &str = "  ";
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(i) => out.push_str(&i.to_string()),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent + 1));
-                write_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push(']');
+/// Appends `s` as a quoted JSON string, copying unescaped runs whole.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escaped);
         }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                out.push_str(&PAD.repeat(indent + 1));
-                escape_into(out, k);
-                out.push_str(": ");
-                write_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            out.push_str(&PAD.repeat(indent));
-            out.push('}');
-        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
-fn write_compact(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(i) => out.push_str(&i.to_string()),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => escape_into(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_compact(out, item);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, k);
-                out.push(':');
-                write_compact(out, item);
-            }
-            out.push('}');
-        }
-    }
+/// Appends `value` as compact JSON to `out`, without an intermediate
+/// `String`: the way to embed a serialized value in a larger document.
+pub fn to_string_into<T: serde::Serialize>(out: &mut String, value: &T) {
+    value.serialize(&mut Writer::<false>::new(out));
 }
 
 /// Serializes `value` as a pretty-printed (2-space indented) JSON string.
 pub fn to_string_pretty<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&mut out, &value.serialize(), 0);
+    value.serialize(&mut Writer::<true>::new(&mut out));
     Ok(out)
 }
 
 /// Serializes `value` as a compact JSON string.
 pub fn to_string<T: serde::Serialize>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_compact(&mut out, &value.serialize());
+    to_string_into(&mut out, value);
     Ok(out)
 }
 
@@ -425,19 +560,34 @@ mod tests {
     fn roundtrip_nested() {
         let src = "{\"a\": [1, 2.5, {\"b\": \"x\"}], \"c\": null}";
         let v = parse_value(src).unwrap();
-        let pretty = {
-            let mut s = String::new();
-            write_pretty(&mut s, &v, 0);
-            s
-        };
+        let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(parse_value(&pretty).unwrap(), v);
+        assert_eq!(parse_value(&to_string(&v).unwrap()).unwrap(), v);
     }
 
     #[test]
     fn integral_float_keeps_point() {
-        let mut s = String::new();
-        write_f64(&mut s, 300.0);
-        assert_eq!(s, "300.0");
+        assert_eq!(to_string(&300.0).unwrap(), "300.0");
+    }
+
+    #[test]
+    fn memoized_floats_print_like_fresh_ones() {
+        // Far more floats than the memo's threshold and slot count, with
+        // repeats, slot collisions and texts too long for a slot.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut values = Vec::new();
+        for i in 0..20_000u32 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let v = match i % 4 {
+                0 => f64::from(i % 700) * 0.25,
+                1 => (state >> 11) as f64 / (1u64 << 53) as f64,
+                2 => f64::from_bits(state >> 2),
+                _ => values[(state % u64::from(i)) as usize],
+            };
+            values.push(v);
+        }
+        let fresh: Vec<String> = values.iter().map(|v| to_string(v).unwrap()).collect();
+        assert_eq!(to_string(&values).unwrap(), format!("[{}]", fresh.join(",")));
     }
 
     #[test]
