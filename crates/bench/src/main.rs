@@ -16,12 +16,18 @@
 //! ```
 //!
 //! `--quick` shrinks the matrix and measurement window for CI smoke runs.
-//! `--threads N` runs the matrix through the intra-run worker pool at N
-//! threads (default 1, the committed baseline configuration); whatever the
-//! setting, an `intra_run_scaling` section measures the largest burn case
-//! at 1/2/4/8 threads and a `determinism` section records a digest of the
-//! reference scenario's full report, which must not move with the thread
-//! count. `--journal PATH` additionally runs the reference scenario with an
+//! `--threads N` asks the matrix and fleet points for N intra-run threads
+//! (default 1, the committed baseline configuration; each run shards only
+//! as wide as `unitherm_cluster::effective_width` allows). Whatever the
+//! setting, an `intra_run_scaling` section measures a burn fleet of
+//! `4 × MIN_NODES_PER_SHARD` nodes — wide enough for a 4-shard pool — at
+//! each of 1/2/4/8 threads that fits the machine's CPU count, interleaved,
+//! recording each point's effective width, and a `determinism` section
+//! records a digest of that fleet's full report at `--threads`, which must
+//! not move with the thread count. The report also carries the machine
+//! context (`nproc`, `cpu_model`). `--check` fails a report in which any
+//! scaling point falls below 0.9× its own 1-thread point.
+//! `--journal PATH` additionally runs the reference scenario with an
 //! event journal attached and writes it to PATH — JSONL by default,
 //! `--journal-format bjl` for the `unitherm-bjl/v1` binary encoding. Every
 //! bench run also measures both encodings' bytes/event and write throughput
@@ -38,14 +44,17 @@
 //! sniffed from the file), derives a
 //! tick-addressed fault plan from its decision events
 //! (`unitherm_cluster::derive_fault_plan`), replays the reference scenario
-//! under those faults at 1, 2 and 4 threads, and fails (exit 1) unless all
+//! under those faults — widened to a 4-shard fleet — at 1, 2 and 4
+//! threads, and fails (exit 1) unless all
 //! three reports are bit-identical — the determinism gate extended to the
 //! fault-injection path. `--chaos-smoke` runs a small-budget adversarial
 //! chaos search (`unitherm_cluster::chaos`) over the given scenario file
 //! and fails (exit 1) unless the search finds a counterexample, the corpus
 //! is byte-identical when the search reruns on one evaluation thread, and
-//! the cheapest counterexample replays bit-identically at 1, 2 and 4
-//! threads — the determinism gate extended to the search layer.
+//! the cheapest counterexample replays to its recorded digest and, widened
+//! to a 4-shard fleet, bit-identically at 1, 2 and 4 threads — the
+//! determinism gate extended to the search layer. Both checks also fail
+//! when a threaded replay runs narrower than it asked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs::File;
@@ -63,6 +72,7 @@ use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::{FanScheme, SchemeSpec};
 use unitherm_cluster::sim::Simulation;
 use unitherm_cluster::sweep::run_scenarios_parallel;
+use unitherm_cluster::{effective_width, MIN_NODES_PER_SHARD};
 use unitherm_core::control_array::Policy;
 use unitherm_obs::{
     read_journal, BinaryJournalReader, BinaryJournalWriter, EventRecord, EventSink, JournalCursor,
@@ -227,12 +237,14 @@ struct Observability {
 #[derive(Serialize)]
 struct ScalingPoint {
     threads: usize,
+    /// The pool width the run used: `effective_width(threads, nodes)`.
+    effective_width: usize,
     ticks_per_s: f64,
     speedup_vs_1: f64,
 }
 
-/// Intra-run strong scaling: the largest burn case of the matrix, one
-/// simulation sharded across the persistent worker pool.
+/// Intra-run strong scaling: a burn fleet wide enough for a 4-shard pool,
+/// one simulation sharded across the persistent worker pool.
 #[derive(Serialize)]
 struct IntraRunScaling {
     scenario: String,
@@ -272,6 +284,9 @@ struct FleetScale {
 struct Determinism {
     scenario: String,
     threads: usize,
+    /// The pool width the digested run used; CI asserts it is 4 on the
+    /// 4-thread run, so the 1-vs-4 comparison really crosses the pool.
+    effective_width: usize,
     digest: String,
 }
 
@@ -306,6 +321,10 @@ struct BenchReport {
     schema: String,
     mode: String,
     commit: String,
+    /// Logical CPUs available to the run.
+    nproc: usize,
+    /// The CPU model name, or `unknown`.
+    cpu_model: String,
     threads: usize,
     results: Vec<CaseResult>,
     sweep: SweepResult,
@@ -383,7 +402,7 @@ fn measure_scenario(build_scenario: impl Fn() -> Scenario, min_wall_s: f64) -> (
 /// warmup, so `bytes_per_node` reports the simulation's steady-state
 /// footprint (burn fleets allocate nothing per tick; the alloc-free tick
 /// tests pin that).
-fn measure_fleet_scale(node_counts: &[usize], min_wall_s: f64) -> FleetScale {
+fn measure_fleet_scale(node_counts: &[usize], min_wall_s: f64, threads: usize) -> FleetScale {
     const WARMUP_TICKS: u32 = 200;
     let mut points = Vec::with_capacity(node_counts.len());
     for &nodes in node_counts {
@@ -393,7 +412,8 @@ fn measure_fleet_scale(node_counts: &[usize], min_wall_s: f64) -> FleetScale {
             .with_workload(WorkloadSpec::CpuBurn)
             .with_recording(false)
             .with_max_time(1e9)
-            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100));
+            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+            .with_threads(threads);
         let heap_before = live_bytes();
         let mut sim = Simulation::new(scenario);
         for _ in 0..WARMUP_TICKS {
@@ -500,26 +520,99 @@ fn measure_observability(case: Case, min_wall_s: f64) -> Observability {
     }
 }
 
-/// Measures intra-run strong scaling on `case`: one simulation, sharded
-/// across 1/2/4/8 worker threads.
-fn measure_intra_run_scaling(case: Case, min_wall_s: f64) -> IntraRunScaling {
-    let mut points = Vec::new();
-    let mut base = f64::NAN;
-    for threads in [1usize, 2, 4, 8] {
-        let (ticks_per_s, _) =
-            measure_scenario(|| case.scenario().with_threads(threads), min_wall_s);
-        if threads == 1 {
-            base = ticks_per_s;
+/// Measures intra-run strong scaling on `case`: one simulation per thread
+/// count of 1/2/4/8 that fits the machine's `nproc` CPUs (a wider ask only
+/// oversubscribes the machine, so it is not recorded). The simulations run
+/// interleaved, one batch each per round, so drift in the machine's speed
+/// hits every point alike; each point keeps its best batch.
+fn measure_intra_run_scaling(case: Case, min_wall_s: f64, nproc: usize) -> IntraRunScaling {
+    const WARMUP_TICKS: u32 = 200;
+    const BATCH_TICKS: u32 = 1000;
+    const MIN_ROUNDS: usize = 5;
+    const REBUILD_AT_SIM_S: f64 = 60.0;
+
+    let thread_counts: Vec<usize> =
+        [1usize, 2, 4, 8].into_iter().filter(|&t| t == 1 || t <= nproc).collect();
+    let build = |threads: usize| {
+        let mut sim = Simulation::new(case.scenario().with_threads(threads));
+        for _ in 0..WARMUP_TICKS {
+            sim.tick();
         }
-        points.push(ScalingPoint { threads, ticks_per_s, speedup_vs_1: ticks_per_s / base });
-        eprintln!(
-            "scaling: {} @ {threads} thread(s): {ticks_per_s:.0} ticks/s ({:.2}x)",
-            case.name(),
-            ticks_per_s / base
-        );
+        sim
+    };
+    let mut sims: Vec<Simulation> = thread_counts.iter().map(|&t| build(t)).collect();
+    let mut best_batch_s = vec![f64::INFINITY; sims.len()];
+    let mut elapsed = 0.0;
+    let mut rounds = 0;
+    while rounds < MIN_ROUNDS || elapsed < min_wall_s * sims.len() as f64 {
+        for (i, sim) in sims.iter_mut().enumerate() {
+            if sim.time_s() > REBUILD_AT_SIM_S {
+                *sim = build(thread_counts[i]);
+            }
+            let t0 = Instant::now();
+            for _ in 0..BATCH_TICKS {
+                sim.tick();
+            }
+            let batch_s = t0.elapsed().as_secs_f64();
+            elapsed += batch_s;
+            best_batch_s[i] = best_batch_s[i].min(batch_s);
+        }
+        rounds += 1;
     }
+
+    let base = f64::from(BATCH_TICKS) / best_batch_s[0];
+    let points = thread_counts
+        .iter()
+        .zip(&best_batch_s)
+        .map(|(&threads, &batch_s)| {
+            let ticks_per_s = f64::from(BATCH_TICKS) / batch_s;
+            let effective_width = effective_width(threads, case.nodes);
+            eprintln!(
+                "scaling: {} @ {threads} thread(s), width {effective_width}: \
+                 {ticks_per_s:.0} ticks/s ({:.2}x, best of {rounds} interleaved batches)",
+                case.name(),
+                ticks_per_s / base
+            );
+            ScalingPoint { threads, effective_width, ticks_per_s, speedup_vs_1: ticks_per_s / base }
+        })
+        .collect();
     IntraRunScaling { scenario: case.name(), points }
 }
+
+/// The scaling gate: asking for more threads must never cost more than
+/// [`SCALING_TOLERANCE`] of the 1-thread throughput measured in the same
+/// run. Every recorded point is gated. Returns one message per point that
+/// falls short.
+fn scaling_shortfalls(v: &Value) -> Vec<String> {
+    let Some(Value::Seq(points)) = v.get("intra_run_scaling").and_then(|s| s.get("points")) else {
+        return Vec::new();
+    };
+    let field = |p: &Value, f: &str| p.get(f).and_then(Value::as_f64).unwrap_or(f64::NAN);
+    let Some(base) = points.iter().find(|p| field(p, "threads") == 1.0) else {
+        return vec!["intra_run_scaling has no 1-thread point".to_string()];
+    };
+    let base = field(base, "ticks_per_s");
+    points
+        .iter()
+        .filter(|p| {
+            let ticks = field(p, "ticks_per_s");
+            ticks.is_nan() || ticks < SCALING_TOLERANCE * base
+        })
+        .map(|p| {
+            format!(
+                "{} thread(s): {:.0} ticks/s is below {SCALING_TOLERANCE}x the 1-thread \
+                 {base:.0} ticks/s",
+                field(p, "threads"),
+                field(p, "ticks_per_s")
+            )
+        })
+        .collect()
+}
+
+/// Lowest share of the 1-thread throughput any scaling point may reach:
+/// the effective-width rule exists so `threads` never slows a run; the
+/// 10 % slack absorbs run-to-run timing noise of a best-batch measurement.
+const SCALING_TOLERANCE: f64 = 0.9;
 
 /// FNV-1a over the serialized report — cheap, dependency-free, and stable
 /// across runs of a deterministic simulation.
@@ -538,11 +631,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// bit-identity contract, checked here on the exact binary CI ships.
 fn measure_determinism(case: Case, threads: usize) -> Determinism {
     let scenario = case.scenario().with_recording(true).with_max_time(30.0).with_threads(threads);
-    let report = Simulation::new(scenario).run();
+    let sim = Simulation::new(scenario);
+    let effective_width = sim.width();
+    let report = sim.run();
     let json = serde_json::to_string(&report).expect("report serializes");
     Determinism {
         scenario: case.name(),
         threads,
+        effective_width,
         digest: format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes())),
     }
 }
@@ -700,6 +796,14 @@ fn validate_report(v: &Value, path: &str) -> Result<(), String> {
     if !matches!(v.get("commit"), Some(Value::Str(_))) {
         return err("missing string field `commit`");
     }
+    // The machine context arrived after v1 reports were first committed;
+    // when present it must name the machine.
+    if v.get("nproc").is_some_and(|n| n.as_u64().is_none_or(|n| n == 0)) {
+        return err("`nproc` must be an integer >= 1");
+    }
+    if v.get("cpu_model").is_some_and(|m| !matches!(m, Value::Str(s) if !s.is_empty())) {
+        return err("`cpu_model` must be a non-empty string");
+    }
     let results = match v.get("results") {
         Some(Value::Seq(items)) if !items.is_empty() => items,
         Some(Value::Seq(_)) => return err("`results` is empty"),
@@ -791,9 +895,21 @@ fn validate_report(v: &Value, path: &str) -> Result<(), String> {
             _ => return err("`intra_run_scaling.points` must be a non-empty array"),
         };
         for (i, point) in points.iter().enumerate() {
-            match point.get("threads").and_then(Value::as_u64) {
-                Some(t) if t >= 1 => {}
+            let threads = match point.get("threads").and_then(Value::as_u64) {
+                Some(t) if t >= 1 => t,
                 _ => return err(&format!("intra_run_scaling.points[{i}]: `threads` >= 1")),
+            };
+            // `effective_width` arrived with the effective-width rule.
+            if let Some(width) = point.get("effective_width") {
+                match width.as_u64() {
+                    Some(w) if (1..=threads).contains(&w) => {}
+                    _ => {
+                        return err(&format!(
+                            "intra_run_scaling.points[{i}]: `effective_width` must be in \
+                             1..=threads"
+                        ))
+                    }
+                }
             }
             for field in ["ticks_per_s", "speedup_vs_1"] {
                 match point.get(field).and_then(Value::as_f64) {
@@ -850,6 +966,9 @@ fn validate_report(v: &Value, path: &str) -> Result<(), String> {
         if det.get("threads").and_then(Value::as_u64).is_none() {
             return err("`determinism.threads` must be an integer");
         }
+        if det.get("effective_width").is_some_and(|w| w.as_u64().is_none_or(|w| w == 0)) {
+            return err("`determinism.effective_width` must be an integer >= 1");
+        }
     }
     Ok(())
 }
@@ -892,6 +1011,13 @@ fn run_check(check_path: &str, baseline_path: Option<&str>, max_regression_pct: 
         }
     };
     eprintln!("{check_path}: schema unitherm-bench/v1 OK");
+    let shortfalls = scaling_shortfalls(&report);
+    if !shortfalls.is_empty() {
+        for s in &shortfalls {
+            eprintln!("check failed: {check_path}: intra_run_scaling: {s}");
+        }
+        return 1;
+    }
 
     let Some(baseline_path) = baseline_path else { return 0 };
     let baseline = match load_report(baseline_path).and_then(|v| {
@@ -995,17 +1121,28 @@ fn run_replay_check(journal_path: &str) -> i32 {
         return 1;
     }
 
+    // The plan faults the recorded nodes; the replay fleet appends enough
+    // unfaulted nodes for a 4-shard pool, so the 2- and 4-thread replays
+    // really run sharded.
+    let fleet = plan.apply(base.clone()).with_nodes(4 * MIN_NODES_PER_SHARD);
     let mut digests: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
-        let scenario = plan.apply(base.clone()).with_threads(threads);
-        let report = Simulation::new(scenario).run();
+        let sim = Simulation::new(fleet.clone().with_threads(threads));
+        let width = sim.width();
+        let report = sim.run();
         let faults_applied: usize = report.nodes.iter().map(|n| n.faults_applied.len()).sum();
         let json = serde_json::to_string(&report).expect("report serializes");
         let digest = format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes()));
         eprintln!(
-            "replay: {} @ {threads} thread(s): {faults_applied} fault(s) delivered -> {digest}",
-            case.name()
+            "replay: {} on {} nodes @ {threads} thread(s), width {width}: {faults_applied} \
+             fault(s) delivered -> {digest}",
+            case.name(),
+            fleet.nodes
         );
+        if width != threads {
+            eprintln!("replay check failed: {threads}-thread replay ran {width} wide");
+            return 1;
+        }
         digests.push(digest);
     }
     if digests.windows(2).all(|w| w[0] == w[1]) {
@@ -1089,26 +1226,41 @@ fn run_chaos_smoke(scenario_path: &str) -> i32 {
     eprintln!("chaos: corpus byte-identical across evaluation thread budgets");
 
     // Replay fidelity: the cheapest counterexample re-executes to the
-    // recorded digest at every intra-run thread count.
+    // recorded digest, and — on the faulted fleet widened with unfaulted
+    // nodes until a 4-shard pool pays — to one digest at every intra-run
+    // thread count, each run as wide as it asks.
+    let Some(faulted) = corpus.apply(scenario.clone(), 0) else {
+        eprintln!("chaos smoke failed: corpus entry 0 vanished");
+        return 1;
+    };
+    let digest = report_digest(&Simulation::new(faulted.clone()).run());
+    eprintln!("chaos: replay -> {digest}");
+    if digest != best.report_digest {
+        eprintln!(
+            "chaos smoke failed: replay produced {digest}, corpus recorded {}",
+            best.report_digest
+        );
+        return 1;
+    }
+    let fleet = faulted.with_nodes(4 * MIN_NODES_PER_SHARD);
+    let mut fleet_digests = Vec::new();
     for threads in [1usize, 2, 4] {
-        let faulted = match corpus.apply(scenario.clone(), 0) {
-            Some(s) => s.with_threads(threads),
-            None => {
-                eprintln!("chaos smoke failed: corpus entry 0 vanished");
-                return 1;
-            }
-        };
-        let report = Simulation::new(faulted).run();
-        let digest = report_digest(&report);
-        eprintln!("chaos: replay @ {threads} thread(s) -> {digest}");
-        if digest != best.report_digest {
-            eprintln!(
-                "chaos smoke failed: replay at {threads} thread(s) produced {digest}, \
-                 corpus recorded {}",
-                best.report_digest
-            );
+        let sim = Simulation::new(fleet.clone().with_threads(threads));
+        let width = sim.width();
+        let digest = report_digest(&sim.run());
+        eprintln!(
+            "chaos: replay on {} nodes @ {threads} thread(s), width {width} -> {digest}",
+            fleet.nodes
+        );
+        if width != threads {
+            eprintln!("chaos smoke failed: {threads}-thread replay ran {width} wide");
             return 1;
         }
+        fleet_digests.push(digest);
+    }
+    if fleet_digests.windows(2).any(|w| w[0] != w[1]) {
+        eprintln!("chaos smoke failed: widened replays diverge across thread counts");
+        return 1;
     }
     eprintln!("chaos: counterexample replays bit-identically across 1/2/4 threads");
     0
@@ -1121,6 +1273,20 @@ fn git_commit() -> String {
         .ok()
         .filter(|o| o.status.success())
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The first `model name` in `/proc/cpuinfo`, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .filter(|m| !m.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
 }
 
@@ -1249,15 +1415,12 @@ fn main() {
         observability.noise_floor_pct
     );
 
-    // Strong scaling uses the largest burn/dynamic-fan case the mode covers
-    // (64 nodes full, 4 nodes quick) — the cell with the most per-tick work
-    // to shard.
-    let scaling_case = Case {
-        nodes: *node_counts.last().expect("matrix has node counts"),
-        burn: true,
-        scheme: Scheme::DynamicFan,
-    };
-    let intra_run_scaling = measure_intra_run_scaling(scaling_case, min_wall_s.max(0.02));
+    // Strong scaling and the determinism digest use a burn fleet with
+    // exactly enough nodes for a 4-shard pool: any smaller case runs at
+    // width 1 whatever `--threads` says, which would make both vacuous.
+    let pool_case = Case { nodes: 4 * MIN_NODES_PER_SHARD, burn: true, scheme: Scheme::DynamicFan };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let intra_run_scaling = measure_intra_run_scaling(pool_case, min_wall_s.max(0.02), nproc);
 
     // Fleet scale: 1k/10k/100k-node burn fleets in full mode, the 1k point
     // alone in quick mode (the CI bench-gate case), or whatever `--nodes`
@@ -1267,12 +1430,12 @@ fn main() {
         None if quick => vec![1_000],
         None => vec![1_000, 10_000, 100_000],
     };
-    let fleet_scale = measure_fleet_scale(&fleet_counts, min_wall_s.max(0.02));
+    let fleet_scale = measure_fleet_scale(&fleet_counts, min_wall_s.max(0.02), threads);
 
-    let determinism = measure_determinism(probe_case, threads);
+    let determinism = measure_determinism(pool_case, threads);
     eprintln!(
-        "determinism: {} @ {} thread(s) -> {}",
-        determinism.scenario, determinism.threads, determinism.digest
+        "determinism: {} @ {} thread(s), width {} -> {}",
+        determinism.scenario, determinism.threads, determinism.effective_width, determinism.digest
     );
 
     if let Some(path) = &journal_path {
@@ -1310,6 +1473,8 @@ fn main() {
         schema: "unitherm-bench/v1".to_string(),
         mode: if quick { "quick" } else { "full" }.to_string(),
         commit: git_commit(),
+        nproc,
+        cpu_model: cpu_model(),
         threads,
         results,
         sweep,

@@ -63,7 +63,7 @@ pub use replay::{
 pub use report::{NodeReport, RunReport};
 pub use scenario::{Scenario, ScenarioError, WorkloadSpec};
 pub use scheme::{DvfsScheme, FanScheme, SchemeSpec};
-pub use sim::Simulation;
+pub use sim::{effective_width, Simulation, MIN_NODES_PER_SHARD};
 pub use sweep::{
     run_scenarios_parallel, thread_budget, try_run_scenarios_parallel, PermitGuard, SweepError,
     ThreadPermits,

@@ -244,12 +244,15 @@ pub struct Scenario {
     /// arm of the bench overhead comparison.
     #[serde(default = "default_event_capacity")]
     pub event_capacity: usize,
-    /// Worker threads for the intra-run tick loop (capped at the node
-    /// count). 1 — the default — runs the serial tick path unchanged;
-    /// larger values shard the nodes across a persistent worker pool with
-    /// bit-identical results (see `crate::pool`). Coordinate with
-    /// [`crate::sweep::run_scenarios_parallel`]'s thread budget when
-    /// sweeping many scenarios at once.
+    /// Most worker threads the intra-run tick loop may use. The run shards
+    /// [`crate::sim::effective_width`]`(threads, nodes)` ways — no more
+    /// shards than give each [`crate::sim::MIN_NODES_PER_SHARD`] nodes, so
+    /// asking for threads never slows a small run down. Width 1 — the
+    /// default, and any fleet under `2 × MIN_NODES_PER_SHARD` nodes — runs
+    /// the serial tick path; wider runs shard the nodes across a persistent
+    /// worker pool with bit-identical results (see `crate::pool`).
+    /// Coordinate with [`crate::sweep::run_scenarios_parallel`]'s thread
+    /// budget when sweeping many scenarios at once.
     #[serde(default = "default_threads")]
     pub threads: usize,
     /// Force every node onto the scalar per-struct tick path, bypassing the

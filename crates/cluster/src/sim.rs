@@ -22,6 +22,25 @@ use crate::pool::{shard_range, PassKind, ShardOut, WorkerPool};
 use crate::report::{NodeReport, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 
+/// Fewest nodes a worker-pool shard must own before sharding pays.
+///
+/// A pool tick pays a fixed synchronisation cost (three epochs, each a
+/// spin and then park/unpark) that a shard's per-node work must outweigh.
+/// Calibrated at 1 vs 2 threads on a 2-vCPU host (DESIGN.md §11): on an
+/// idle machine two shards break even at 32 nodes each and gain about
+/// 1.4× or more from 128 each; while another process keeps one core busy,
+/// two threads lose at every size up to 1024 nodes.
+pub const MIN_NODES_PER_SHARD: usize = 128;
+
+/// The worker-pool width a run with `threads` requested threads over
+/// `nodes` nodes actually uses: at most `threads`, and no more shards than
+/// give each one [`MIN_NODES_PER_SHARD`] nodes; never below 1 (the serial
+/// loop). The simulation, the sweep budget and the service's permit grant
+/// all size themselves from this one rule.
+pub fn effective_width(threads: usize, nodes: usize) -> usize {
+    threads.min(nodes / MIN_NODES_PER_SHARD).max(1)
+}
+
 /// A runnable cluster simulation.
 pub struct Simulation {
     /// The intra-run worker pool (`Scenario::threads > 1`). Declared first:
@@ -87,9 +106,9 @@ impl Simulation {
             }
             model
         });
-        // More shards than nodes would only spin idle workers; threads = 1
-        // (the default) skips the pool entirely and runs the serial loop.
-        let shards = scenario.threads.min(nodes.len()).max(1);
+        // Width 1 — the default, and any fleet too small to pay for a
+        // shard — skips the pool entirely and runs the serial loop.
+        let shards = effective_width(scenario.threads, nodes.len());
         let pool = (shards > 1).then(|| WorkerPool::new(shards));
         let heat_scratch = if rack.is_some() { vec![0.0; nodes.len()] } else { Vec::new() };
         let shard_outs = vec![ShardOut::default(); shards];
@@ -170,6 +189,12 @@ impl Simulation {
     pub fn attach_binary_journal<W: std::io::Write + 'static>(&mut self, out: W) {
         let dt_s = self.scenario.dt_s;
         self.attach_journal(Box::new(unitherm_obs::BinaryJournalWriter::new(out, dt_s)));
+    }
+
+    /// The worker-pool width this run uses: [`effective_width`] of the
+    /// scenario's `threads` and node count (1 = the serial loop).
+    pub fn width(&self) -> usize {
+        self.batches.len()
     }
 
     /// Current simulated time.
@@ -602,6 +627,26 @@ mod tests {
     use crate::scheme::{DvfsScheme, FanScheme};
     use unitherm_core::control_array::Policy;
     use unitherm_workload::{NpbBenchmark, NpbClass, Segment};
+
+    #[test]
+    fn effective_width_table() {
+        const M: usize = MIN_NODES_PER_SHARD;
+        // 0 or 1 requested threads: always the serial loop.
+        assert_eq!(effective_width(0, 100 * M), 1);
+        assert_eq!(effective_width(1, 100 * M), 1);
+        // Fewer than MIN nodes per extra shard: no pool.
+        assert_eq!(effective_width(2, 1), 1);
+        assert_eq!(effective_width(4, M - 1), 1);
+        assert_eq!(effective_width(2, 2 * M - 1), 1);
+        // Exact multiples open one shard per MIN nodes, up to `threads`.
+        assert_eq!(effective_width(2, 2 * M), 2);
+        assert_eq!(effective_width(4, 3 * M), 3);
+        assert_eq!(effective_width(4, 4 * M), 4);
+        assert_eq!(effective_width(7, 7 * M + 3), 7);
+        // More threads than nodes (or than MIN-sized shards): capped.
+        assert_eq!(effective_width(16, 2), 1);
+        assert_eq!(effective_width(64, 8 * M), 8);
+    }
 
     #[test]
     fn idle_cluster_stays_cool_and_runs_to_limit() {

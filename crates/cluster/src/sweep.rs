@@ -11,7 +11,7 @@ use std::sync::{mpsc, Condvar, Mutex};
 
 use crate::report::RunReport;
 use crate::scenario::{Scenario, ScenarioError};
-use crate::sim::Simulation;
+use crate::sim::{effective_width, Simulation};
 
 /// A sweep job that could not run: its scenario failed validation. Carries
 /// the scenario name, so one bad configuration deep inside a generated
@@ -40,8 +40,8 @@ impl std::error::Error for SweepError {
 /// that `workers × threads_per_job` never exceeds `max_threads` (and no
 /// worker sits idle when there are fewer jobs than threads).
 ///
-/// `threads_per_job` is the *largest* intra-run thread count among the
-/// jobs — a scenario with `Scenario::threads > 1` brings its own worker
+/// `threads_per_job` is the *largest* intra-run pool width among the jobs
+/// ([`effective_width`]) — a scenario that shards brings its own worker
 /// pool to every simulation, so the sweep must leave room for it.
 pub fn thread_budget(max_threads: usize, jobs: usize, threads_per_job: usize) -> usize {
     if jobs == 0 {
@@ -143,7 +143,7 @@ impl Drop for PermitGuard<'_> {
 ///
 /// The worker count is budgeted by [`thread_budget`]: capped at the
 /// scenario count (small sweeps stop spawning idle threads) and divided by
-/// the largest per-scenario intra-run thread count, so sweep parallelism ×
+/// the largest per-scenario intra-run pool width, so sweep parallelism ×
 /// intra-run parallelism never oversubscribes the machine.
 ///
 /// Work is dispatched through an atomic claim index instead of a mutex-held
@@ -190,7 +190,7 @@ pub fn try_run_scenarios_parallel(
     if n == 0 {
         return Vec::new();
     }
-    let per_job = scenarios.iter().map(|s| s.threads.min(s.nodes).max(1)).max().unwrap_or(1);
+    let per_job = scenarios.iter().map(|s| effective_width(s.threads, s.nodes)).max().unwrap_or(1);
     let workers = thread_budget(max_threads, n, per_job);
     if workers == 1 {
         return scenarios.into_iter().map(run_one).collect();
@@ -284,9 +284,15 @@ mod tests {
         // same reports through the budgeted sweep as one at a time.
         let build = || -> Vec<Scenario> {
             (0..3)
-                .map(|i| quick(&format!("t{i}"), 30 + 10 * i).with_nodes(3).with_threads(2))
+                .map(|i| {
+                    quick(&format!("t{i}"), 30 + 10 * i)
+                        .with_nodes(2 * crate::sim::MIN_NODES_PER_SHARD)
+                        .with_threads(2)
+                        .with_max_time(2.0)
+                })
                 .collect()
         };
+        assert!(build().iter().all(|s| effective_width(s.threads, s.nodes) == 2));
         let serial = run_scenarios_parallel(build(), 1);
         let parallel = run_scenarios_parallel(build(), 4);
         for (s, p) in serial.iter().zip(&parallel) {

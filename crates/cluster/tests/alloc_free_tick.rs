@@ -5,9 +5,14 @@
 //! harness installs a counting `#[global_allocator]` and asserts that
 //! steady-state `Simulation::tick` — including the 4 Hz sampling path —
 //! performs zero heap allocations once the simulation is warmed up.
+//!
+//! Allocations are counted per thread: the test harness runs these tests
+//! on parallel threads, and a process-wide counter would charge one
+//! test's set-up to another's measurement window. Every simulation here
+//! runs at width 1, so all of its work happens on the test's own thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
@@ -15,15 +20,23 @@ use unitherm_cluster::sim::Simulation;
 use unitherm_core::control_array::Policy;
 
 /// Counts every allocation and reallocation going through the global
-/// allocator (deallocations are free to happen — dropping a pre-reserved
-/// buffer is not a hot-path cost).
+/// allocator on the calling thread (deallocations are free to happen —
+/// dropping a pre-reserved buffer is not a hot-path cost).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charges one allocation to the current thread. `try_with` because the
+/// allocator may run while the thread's locals are being torn down.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,15 +53,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed while running `f`.
+/// Allocations the current thread performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn warmed(scenario: Scenario) -> Simulation {
     let mut sim = Simulation::new(scenario);
+    assert_eq!(sim.width(), 1, "per-thread counting sees only a serial run's allocations");
     // Past the spin-up transient and through many sampling ticks, so every
     // lazily-initialized path (sensor caches, controller windows) has run.
     for _ in 0..500 {

@@ -51,6 +51,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use unitherm_cluster::chaos::{chaos_search, report_digest, ChaosConfig, OutcomePredicate};
+use unitherm_cluster::{effective_width, MIN_NODES_PER_SHARD};
 use unitherm_experiments::{
     ablations, fig1, fig10, fig2, fig5, fig6, fig7, fig8, fig9, rack, scaling, scenario_file,
     straggler, table1, Experiment, Scale,
@@ -391,6 +392,14 @@ fn main() -> ExitCode {
             }
         }
         eprintln!("== running scenario {:?} from {path} ==", scenario.name);
+        let width = effective_width(scenario.threads, scenario.nodes);
+        if width < scenario.threads {
+            eprintln!(
+                "note: running {width} wide, not the {} threads requested: each shard needs \
+                 {MIN_NODES_PER_SHARD} nodes and this run has {}",
+                scenario.threads, scenario.nodes
+            );
+        }
         let (report, text) = match scenario_file::run_and_render_with_journal(
             scenario,
             journal_out.as_deref(),

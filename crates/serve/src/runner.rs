@@ -3,8 +3,12 @@
 //!
 //! Concurrency discipline (DESIGN.md §15): the service owns one
 //! [`ThreadPermits`] budget of `max_threads` permits. Each runner acquires
-//! `scenario.threads.min(nodes).max(1)` permits — the exact worker-pool
-//! width `Simulation::run` will use — before it starts, so the sum of all
+//! `permits_for` the job before it starts: the worker-pool width
+//! `Simulation::run` will actually use ([`effective_width`] — at most
+//! `threads`, and only as many shards as each get
+//! [`unitherm_cluster::MIN_NODES_PER_SHARD`] nodes), clamped to the budget.
+//! A 64-node `threads: 2` job therefore runs inline on one permit instead
+//! of holding two for a pool that would only slow it down. The sum of all
 //! intra-run pool widths never exceeds `max_threads` no matter how many
 //! jobs are in flight. This is the same arithmetic `sweep::thread_budget`
 //! applies to a static sweep, restated for a long-lived service where the
@@ -19,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
-use unitherm_cluster::{thread_budget, Simulation, ThreadPermits};
+use unitherm_cluster::{effective_width, thread_budget, Scenario, Simulation, ThreadPermits};
 use unitherm_obs::{EventRecord, EventSink};
 
 use crate::queue::{JobId, JobQueue};
@@ -78,19 +82,16 @@ pub fn spawn_runners(queue: JobQueue, max_threads: usize) -> RunnerPool {
     RunnerPool { permits, handles }
 }
 
+/// Permits a job asks for: the pool width `Simulation` will actually use
+/// for `scenario` ([`ThreadPermits::acquire`] clamps it to the budget).
+fn permits_for(scenario: &Scenario) -> usize {
+    effective_width(scenario.threads, scenario.nodes)
+}
+
 /// Runs one job to completion: acquire permits, execute, record outcome.
 /// Exposed so tests can drive a single job synchronously.
-pub fn run_one(
-    queue: &JobQueue,
-    permits: &ThreadPermits,
-    id: JobId,
-    scenario: unitherm_cluster::Scenario,
-) {
-    // The pool width Simulation::run will actually use for this scenario;
-    // oversized requests clamp to the budget (an oversized pool still runs,
-    // just narrower than asked — mirroring thread_budget's floor of one).
-    let width = scenario.threads.min(scenario.nodes).max(1);
-    let _guard = permits.acquire(width);
+pub fn run_one(queue: &JobQueue, permits: &ThreadPermits, id: JobId, scenario: Scenario) {
+    let _guard = permits.acquire(permits_for(&scenario));
     match Simulation::try_new(scenario) {
         Ok(mut sim) => {
             sim.attach_journal(Box::new(QueueSink::new(queue.clone(), id)));
@@ -121,7 +122,7 @@ fn runner_loop(queue: JobQueue, permits: Arc<ThreadPermits>) {
 mod tests {
     use super::*;
     use crate::queue::{JobStatus, QueueConfig};
-    use unitherm_cluster::{report_digest, Scenario};
+    use unitherm_cluster::{report_digest, MIN_NODES_PER_SHARD};
 
     fn tiny() -> Scenario {
         Scenario::new("runner-test").with_max_time(2.0).with_recording(false)
@@ -151,7 +152,9 @@ mod tests {
     fn service_report_matches_direct_run_bit_for_bit() {
         let queue = JobQueue::new(QueueConfig::default());
         let permits = ThreadPermits::new(2);
-        let scenario = tiny().with_nodes(2).with_threads(2);
+        // Wide enough that the job really runs on a two-shard pool.
+        let scenario = tiny().with_nodes(2 * MIN_NODES_PER_SHARD).with_threads(2);
+        assert_eq!(Simulation::try_new(scenario.clone()).expect("valid").width(), 2);
 
         let direct = Simulation::try_new(scenario.clone()).expect("valid").run();
         let id = queue.submit("t", scenario.clone()).expect("submit");
@@ -167,13 +170,20 @@ mod tests {
     fn oversized_thread_request_clamps_instead_of_deadlocking() {
         let queue = JobQueue::new(QueueConfig::default());
         let permits = ThreadPermits::new(1);
-        // Asks for 8 threads against a budget of 1; acquire() clamps.
-        let scenario = tiny().with_nodes(8).with_threads(8);
+        // Asks for an 8-wide pool against a budget of 1; the grant clamps.
+        let scenario = tiny().with_nodes(8 * MIN_NODES_PER_SHARD).with_threads(8);
         let id = queue.submit("t", scenario).expect("submit");
         let (claimed, claimed_scenario) = queue.try_claim().expect("claim");
         run_one(&queue, &permits, claimed, claimed_scenario);
         assert_eq!(queue.snapshot(id).unwrap().status, JobStatus::Done);
         assert_eq!(permits.available(), 1, "permits returned after the run");
+    }
+
+    #[test]
+    fn permits_match_the_width_that_runs() {
+        let job = |nodes, threads| tiny().with_nodes(nodes).with_threads(threads);
+        assert_eq!(permits_for(&job(64, 2)), 1, "a 64-node job runs inline");
+        assert_eq!(permits_for(&job(2 * MIN_NODES_PER_SHARD, 2)), 2);
     }
 
     #[test]

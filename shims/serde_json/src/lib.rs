@@ -226,13 +226,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII and the input is a `&str`,
+                    // so the run is whole UTF-8 characters; checking only
+                    // the run keeps parsing linear in the input.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.error("invalid utf-8"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -588,6 +592,15 @@ mod tests {
         }
         let fresh: Vec<String> = values.iter().map(|v| to_string(v).unwrap()).collect();
         assert_eq!(to_string(&values).unwrap(), format!("[{}]", fresh.join(",")));
+    }
+
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        let src = "[\"h\u{e9}llo \u{2713}\", \"a\\\"b\\\\c\\u00e9\\n\", \"\", \"\u{1F600}x\"]";
+        let want = ["h\u{e9}llo \u{2713}", "a\"b\\c\u{e9}\n", "", "\u{1F600}x"];
+        let want = Value::Seq(want.iter().map(|s| Value::Str(s.to_string())).collect());
+        assert_eq!(parse_value(src).unwrap(), want);
+        assert!(parse_value("\"open").is_err());
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The adversarial search must (a) actually find an outcome-flipping,
 //! minimized fault sequence on the shipped attack target, (b) emit
-//! counterexamples that re-execute bit-identically at any thread count,
+//! counterexamples that re-execute bit-identically at any thread count
+//! (on a fleet wide enough to shard),
 //! and (c) be a pure function of its seed — the corpus must come out
 //! byte-identical whether candidates were evaluated on 1, 2 or 4 threads.
 
 use unitherm::cluster::chaos::{chaos_search, report_digest, ChaosConfig, OutcomePredicate};
-use unitherm::cluster::{Scenario, Simulation};
+use unitherm::cluster::{Scenario, Simulation, MIN_NODES_PER_SHARD};
 use unitherm::experiments::scenario_file;
 use unitherm::obs::{Event, EventSink, NullSink, VecSink};
 
@@ -64,22 +65,41 @@ fn finds_minimizes_and_replays_a_failsafe_flip() {
         assert!(entry.outcome.failsafe_engagements > 0);
     }
 
-    // The top counterexample re-executes bit-identically at 1/2/4 threads,
-    // matching the digest recorded in the corpus.
+    // The top counterexample re-executes to the digest recorded in the
+    // corpus and still trips the failsafe.
     let entry = &corpus.counterexamples[0];
-    for threads in [1usize, 2, 4] {
-        let faulted = corpus.apply(base.clone(), 0).expect("entry 0 exists").with_threads(threads);
-        let report = Simulation::new(faulted).run();
-        assert_eq!(
-            report_digest(&report),
-            entry.report_digest,
-            "replay at {threads} thread(s) diverged from the corpus digest"
-        );
-        assert!(
-            report.nodes.iter().any(|n| n.failsafe_engagements > 0),
-            "replayed counterexample must still trip the failsafe"
-        );
-    }
+    let faulted = corpus.apply(base.clone(), 0).expect("entry 0 exists");
+    let report = Simulation::new(faulted.clone()).run();
+    assert_eq!(report_digest(&report), entry.report_digest, "replay diverged from the corpus");
+    assert!(
+        report.nodes.iter().any(|n| n.failsafe_engagements > 0),
+        "replayed counterexample must still trip the failsafe"
+    );
+
+    // It also replays bit-identically at 1/2/4 threads, on the fleet
+    // widened until those runs really shard, with the counterexample's
+    // schedules repeated one shard-width apart so every shard is faulted.
+    let mut fleet = faulted.with_nodes(4 * MIN_NODES_PER_SHARD);
+    let repeats: Vec<_> = (1..4)
+        .flat_map(|k| fleet.tick_faults.iter().map(move |(n, s)| (n + k * MIN_NODES_PER_SHARD, s)))
+        .map(|(n, s)| (n, s.clone()))
+        .collect();
+    fleet.tick_faults.extend(repeats);
+    let digests: Vec<String> = [1usize, 2, 4]
+        .iter()
+        .map(|&threads| {
+            let sim = Simulation::new(fleet.clone().with_threads(threads));
+            assert_eq!(sim.width(), threads, "a {threads}-thread replay must shard {threads} wide");
+            let report = sim.run();
+            assert!(
+                report.nodes.iter().any(|n| n.failsafe_engagements > 0),
+                "the widened replay must still trip the failsafe"
+            );
+            report_digest(&report)
+        })
+        .collect();
+    assert_eq!(digests[0], digests[1], "1-thread vs 2-thread replay diverged");
+    assert_eq!(digests[0], digests[2], "1-thread vs 4-thread replay diverged");
 }
 
 #[test]

@@ -10,9 +10,12 @@
 //! Regenerate snapshots (only when a behaviour change is *intended*) with:
 //! `UNITHERM_UPDATE_GOLDEN=1 cargo test --test control_plane_parity`
 //!
-//! `UNITHERM_GOLDEN_THREADS=N` runs every scenario through the intra-run
-//! worker pool at N threads; the snapshots must not move (CI regenerates
-//! with 4 threads and diffs against the committed serial traces).
+//! `UNITHERM_GOLDEN_THREADS=N` asks every scenario for N intra-run
+//! threads; the snapshots must not move (CI regenerates with 4 threads and
+//! diffs against the committed serial traces). The golden scenarios are
+//! far smaller than `MIN_NODES_PER_SHARD` nodes, so they run at width 1
+//! whatever N says: pool bit-identity is pinned by `tests/parallel_tick.rs`
+//! on fleets sized for 2/4/7 shards.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -2,7 +2,9 @@
 //! world misbehaves — sensors go dark, i2c buses wedge, fans die, machine
 //! rooms heat up — with and without the failsafe watchdog.
 
-use unitherm::cluster::{DvfsScheme, FanScheme, Scenario, Simulation, WorkloadSpec};
+use unitherm::cluster::{
+    DvfsScheme, FanScheme, Scenario, Simulation, WorkloadSpec, MIN_NODES_PER_SHARD,
+};
 use unitherm::core::control_array::Policy;
 use unitherm::core::failsafe::FailsafeConfig;
 use unitherm::obs::{read_journal, JournalWriter};
@@ -157,56 +159,73 @@ fn i2c_wedge_leaves_last_duty_but_daemons_survive() {
 /// aggregation must skip whatever non-finite values that produces instead
 /// of panicking (report.rs used to `partial_cmp(..).expect(..)` on them),
 /// the report must survive a JSON round trip, the journal must read back
-/// cleanly — and all of it bit-identically at 1, 2 and 4 threads.
+/// cleanly — and all of it bit-identically at 1, 2 and 4 threads, on a
+/// fleet widened with healthy nodes until those runs really shard.
 #[test]
 fn sensor_dark_from_first_tick_aggregates_and_round_trips() {
-    let build = |threads: usize| {
-        Scenario::new("dark-from-birth")
-            .with_nodes(2)
-            .with_seed(0xB122)
-            .with_workload(WorkloadSpec::CpuBurn)
-            .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
-            .with_dvfs(DvfsScheme::tdvfs(Policy::MODERATE))
-            .with_max_time(30.0)
-            .with_threads(threads)
-            // Both sensors die before the 4 Hz sampler ever produces a
-            // reading; no restore, no failsafe — worst case for the
-            // aggregation layer.
-            .with_fault(0, FaultPlan::none().at(0.05, FaultEvent::SensorDropout))
-            .with_fault(1, FaultPlan::none().at(0.05, FaultEvent::SensorDropout))
-    };
+    let dark = Scenario::new("dark-from-birth")
+        .with_nodes(2)
+        .with_seed(0xB122)
+        .with_workload(WorkloadSpec::CpuBurn)
+        .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+        .with_dvfs(DvfsScheme::tdvfs(Policy::MODERATE))
+        .with_max_time(30.0)
+        // Both sensors die before the 4 Hz sampler ever produces a
+        // reading; no restore, no failsafe — worst case for the
+        // aggregation layer.
+        .with_fault(0, FaultPlan::none().at(0.05, FaultEvent::SensorDropout))
+        .with_fault(1, FaultPlan::none().at(0.05, FaultEvent::SensorDropout));
 
-    let mut jsons = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let dir = std::env::temp_dir().join(format!("unitherm_nan_e2e_{threads}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal_path = dir.join("events.jsonl");
-        let file = std::fs::File::create(&journal_path).unwrap();
-        let mut sim = Simulation::new(build(threads));
-        sim.attach_journal(Box::new(JournalWriter::new(std::io::BufWriter::new(file))));
-        let report = sim.run();
+    run_and_round_trip(dark.clone());
 
-        // Every aggregate that used to assume finite inputs must answer
-        // without panicking and stay finite itself.
-        for value in [report.avg_temp_c(), report.avg_node_power_w(), report.avg_duty_pct()] {
-            assert!(value.is_finite(), "averages must skip non-finite samples, got {value}");
-        }
-        // An all-dark trace has no samples: the max folds to -inf (its
-        // documented empty value), but it must never be NaN.
-        assert!(!report.max_temp_c().is_nan());
-        let _ = report.first_dvfs_event_time_s();
-        assert!(!report.summary_line().is_empty());
-
-        // The report must survive serde and the journal must read back.
-        let json = serde_json::to_string(&report).expect("report serializes");
-        let back: unitherm::cluster::RunReport =
-            serde_json::from_str(&json).expect("report deserializes");
-        assert_eq!(back.nodes.len(), 2);
-        let reader = std::io::BufReader::new(std::fs::File::open(&journal_path).unwrap());
-        read_journal(reader).expect("journal round-trips");
-        let _ = std::fs::remove_dir_all(&dir);
-        jsons.push(json);
+    // Widened for a 4-shard pool, with the two dark sensors repeated one
+    // shard-width apart so every shard aggregates non-finite samples.
+    let mut fleet = dark.clone().with_nodes(4 * MIN_NODES_PER_SHARD);
+    let repeats: Vec<_> = (1..4)
+        .flat_map(|k| dark.faults.iter().map(move |(n, p)| (n + k * MIN_NODES_PER_SHARD, p)))
+        .map(|(n, p)| (n, p.clone()))
+        .collect();
+    fleet.faults.extend(repeats);
+    let serial = run_and_round_trip(fleet.clone());
+    for threads in [2usize, 4] {
+        let parallel = run_and_round_trip(fleet.clone().with_threads(threads));
+        // Plain `assert!`: the reports run to megabytes, too long to print.
+        assert!(serial == parallel, "1-thread vs {threads}-thread reports diverged");
     }
-    assert_eq!(jsons[0], jsons[1], "1-thread vs 2-thread reports diverged");
-    assert_eq!(jsons[1], jsons[2], "2-thread vs 4-thread reports diverged");
+}
+
+/// Runs `scenario` (exactly as wide as it asks) with a journal file
+/// attached, checks that its aggregates, report JSON and journal survive
+/// the dark sensors, and returns the report JSON.
+fn run_and_round_trip(scenario: Scenario) -> String {
+    let (nodes, threads) = (scenario.nodes, scenario.threads);
+    let dir = std::env::temp_dir().join(format!("unitherm_nan_e2e_{nodes}_{threads}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal_path = dir.join("events.jsonl");
+    let file = std::fs::File::create(&journal_path).unwrap();
+    let mut sim = Simulation::new(scenario);
+    assert_eq!(sim.width(), threads, "a {threads}-thread run must be {threads} shards wide");
+    sim.attach_journal(Box::new(JournalWriter::new(std::io::BufWriter::new(file))));
+    let report = sim.run();
+
+    // Every aggregate that used to assume finite inputs must answer
+    // without panicking and stay finite itself.
+    for value in [report.avg_temp_c(), report.avg_node_power_w(), report.avg_duty_pct()] {
+        assert!(value.is_finite(), "averages must skip non-finite samples, got {value}");
+    }
+    // An all-dark trace has no samples: the max folds to -inf (its
+    // documented empty value), but it must never be NaN.
+    assert!(!report.max_temp_c().is_nan());
+    let _ = report.first_dvfs_event_time_s();
+    assert!(!report.summary_line().is_empty());
+
+    // The report must survive serde and the journal must read back.
+    let json = serde_json::to_string(&report).expect("report serializes");
+    let back: unitherm::cluster::RunReport =
+        serde_json::from_str(&json).expect("report deserializes");
+    assert_eq!(back.nodes.len(), nodes);
+    let reader = std::io::BufReader::new(std::fs::File::open(&journal_path).unwrap());
+    read_journal(reader).expect("journal round-trips");
+    let _ = std::fs::remove_dir_all(&dir);
+    json
 }

@@ -8,11 +8,17 @@
 //! rack-coupled scenarios, and runs with a cluster-wide journal attached
 //! (whose "tick order, node order within a tick" stream must also not
 //! move).
+//!
+//! A run only shards as wide as `effective_width` allows — one shard per
+//! `MIN_NODES_PER_SHARD` nodes — so every fleet here is sized from that
+//! constant, and every threaded run asserts its width: a test that
+//! silently fell back to the serial loop would compare serial to serial.
 
 use std::sync::{Arc, Mutex};
 
 use unitherm::cluster::{
     DvfsScheme, FanScheme, RackConfig, RunReport, Scenario, Simulation, WorkloadSpec,
+    MIN_NODES_PER_SHARD,
 };
 use unitherm::core::control_array::Policy;
 use unitherm::core::failsafe::FailsafeConfig;
@@ -26,34 +32,39 @@ fn image(report: &RunReport) -> String {
     serde_json::to_string(report).expect("report serializes")
 }
 
-/// Runs `scenario` at `threads` and returns the full report image.
-fn run_at(scenario: Scenario, threads: usize) -> String {
-    image(&Simulation::new(scenario.with_threads(threads)).run())
+/// Builds `scenario` at `threads`, checks it runs `width` shards wide, and
+/// returns the full report image.
+fn run_at(scenario: Scenario, threads: usize, width: usize) -> String {
+    let sim = Simulation::new(scenario.with_threads(threads));
+    assert_eq!(sim.width(), width, "{threads}-thread run must be {width} shards wide");
+    image(&sim.run())
 }
 
 /// Thread counts the identity must hold at: even, power-of-two, and a
-/// prime that leaves ragged shard sizes (and exceeds some node counts,
-/// exercising the cap at `nodes`).
+/// prime that leaves ragged shard sizes.
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
+/// Fleet size at which every entry of [`THREAD_COUNTS`] runs that many
+/// shards; the remainder of 3 nodes makes every layout uneven.
+const FLEET: usize = 7 * MIN_NODES_PER_SHARD + 3;
+
 fn assert_thread_invariant(name: &str, build: impl Fn() -> Scenario) {
-    let serial = run_at(build(), 1);
+    let serial = run_at(build(), 1, 1);
     for threads in THREAD_COUNTS {
-        let parallel = run_at(build(), threads);
+        let parallel = run_at(build(), threads, threads);
         assert_eq!(serial, parallel, "{name}: {threads}-thread run diverged from serial");
     }
 }
 
 #[test]
 fn burn_cluster_is_thread_count_invariant() {
-    // 5 nodes: every thread count in the set produces uneven shards.
     assert_thread_invariant("burn", || {
         Scenario::new("par-burn")
-            .with_nodes(5)
+            .with_nodes(FLEET)
             .with_seed(0xBEEF)
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
-            .with_max_time(30.0)
+            .with_max_time(10.0)
     });
 }
 
@@ -63,7 +74,7 @@ fn barrier_coupled_npb_is_thread_count_invariant() {
     // workload exercises it every iteration.
     assert_thread_invariant("npb", || {
         Scenario::new("par-npb")
-            .with_nodes(6)
+            .with_nodes(FLEET)
             .with_seed(7)
             .with_workload(WorkloadSpec::Npb { bench: NpbBenchmark::Bt, class: NpbClass::A })
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 60))
@@ -78,29 +89,30 @@ fn rack_coupled_cluster_is_thread_count_invariant() {
     // naive per-shard partial sum would change the bits.
     assert_thread_invariant("rack", || {
         Scenario::new("par-rack")
-            .with_nodes(13)
+            .with_nodes(FLEET)
             .with_seed(0xAC)
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 80))
             .with_rack(RackConfig::default())
-            .with_max_time(30.0)
+            .with_max_time(10.0)
     });
 }
 
 #[test]
 fn faulted_failsafe_cluster_is_thread_count_invariant() {
     // Sensor dropouts + failsafe exercise the sampling pass's trip/release
-    // event emission on one node only — shard placement must not matter.
+    // event emission on one node only, in a worker's shard rather than the
+    // coordinator's — shard placement must not matter.
     assert_thread_invariant("failsafe", || {
         Scenario::new("par-failsafe")
-            .with_nodes(5)
+            .with_nodes(FLEET)
             .with_seed(3)
             .with_workload(WorkloadSpec::CpuBurn)
             .with_fan(FanScheme::Constant { duty: 20 })
             .with_dvfs(DvfsScheme::tdvfs(Policy::MODERATE))
             .with_failsafe(FailsafeConfig::default())
             .with_fault(
-                2,
+                FLEET / 2,
                 FaultPlan::none()
                     .at(5.0, FaultEvent::SensorDropout)
                     .at(15.0, FaultEvent::SensorRestore),
@@ -122,16 +134,17 @@ impl EventSink for SharedSink {
 
 fn run_with_journal(threads: usize) -> (String, Vec<EventRecord>) {
     let scenario = Scenario::new("par-journal")
-        .with_nodes(5)
+        .with_nodes(FLEET)
         .with_seed(11)
         .with_workload(WorkloadSpec::CpuBurn)
         .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
         .with_rack(RackConfig::default())
-        .with_max_time(20.0)
+        .with_max_time(10.0)
         .with_threads(threads);
     let sink = SharedSink::default();
     let stream = Arc::clone(&sink.0);
     let mut sim = Simulation::new(scenario);
+    assert_eq!(sim.width(), threads, "{threads}-thread journal run must be {threads} shards wide");
     sim.attach_journal(Box::new(sink));
     let report = sim.run();
     let events = std::mem::take(&mut *stream.lock().expect("journal lock"));
@@ -172,8 +185,9 @@ fn journal_keeps_node_order_within_each_timestamp() {
 
 #[test]
 fn thread_knob_caps_at_node_count() {
-    // More threads than nodes must behave exactly like nodes-many threads
-    // (the pool is capped), not hang or change results.
+    // More threads than nodes (or than MIN_NODES_PER_SHARD-sized shards)
+    // must run the serial loop with the same results, not hang or spin a
+    // pool of idle workers.
     let build = || {
         Scenario::new("par-cap")
             .with_nodes(2)
@@ -181,7 +195,7 @@ fn thread_knob_caps_at_node_count() {
             .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
             .with_max_time(10.0)
     };
-    assert_eq!(run_at(build(), 1), run_at(build(), 16));
+    assert_eq!(run_at(build(), 1, 1), run_at(build(), 16, 1));
 }
 
 #[test]

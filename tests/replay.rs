@@ -13,7 +13,9 @@
 use std::sync::{Arc, Mutex};
 
 use unitherm::cluster::replay::classify_fault;
-use unitherm::cluster::{derive_fault_plan, ReplayOptions, RunReport, Scenario, Simulation};
+use unitherm::cluster::{
+    derive_fault_plan, ReplayOptions, RunReport, Scenario, Simulation, MIN_NODES_PER_SHARD,
+};
 use unitherm::experiments::scenario_file;
 use unitherm::obs::{read_journal, Event, EventRecord, EventSink};
 
@@ -42,10 +44,14 @@ impl EventSink for SharedSink {
     }
 }
 
+/// Runs `scenario` with a journal attached. Every run here must shard as
+/// wide as it asks, so a threaded run cannot fall back to the serial loop.
 fn run_with_journal(scenario: Scenario) -> (RunReport, Vec<EventRecord>) {
     let sink = SharedSink::default();
     let stream = Arc::clone(&sink.0);
+    let threads = scenario.threads;
     let mut sim = Simulation::new(scenario);
+    assert_eq!(sim.width(), threads, "a {threads}-thread run must be {threads} shards wide");
     sim.attach_journal(Box::new(sink));
     let report = sim.run();
     let events = std::mem::take(&mut *stream.lock().expect("journal lock"));
@@ -71,7 +77,6 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
 
     // Replay at 1 thread: the reference faulted run.
     let (ref_report, ref_events) = run_with_journal(plan.apply(base_scenario()));
-    let ref_image = image(&ref_report);
 
     // Every derived injection lands on its pinned tick: a FaultInjected
     // record on the right node whose timestamp maps back to exactly the
@@ -107,11 +112,31 @@ fn journal_round_trip_replays_bit_identically_with_pinned_faults() {
         );
     }
 
-    // Replay at 2 and 4 threads: bit-identical report and journal stream.
+    // Replay sharded: the fleet is widened until a 4-shard pool pays, and
+    // the recorded nodes' schedules repeat one shard-width apart, so every
+    // shard delivers and journals faults in the same ticks. The 2- and
+    // 4-thread replays must match the same fleet's serial run in report
+    // and journal stream.
+    let mut fleet = plan.apply(base_scenario()).with_nodes(4 * MIN_NODES_PER_SHARD);
+    let repeats: Vec<_> = (1..4)
+        .flat_map(|k| fleet.tick_faults.iter().map(move |(n, s)| (n + k * MIN_NODES_PER_SHARD, s)))
+        .map(|(n, s)| (n, s.clone()))
+        .collect();
+    fleet.tick_faults.extend(repeats);
+    let (serial_report, serial_events) = run_with_journal(fleet.clone());
+    let serial_image = image(&serial_report);
     for threads in [2usize, 4] {
-        let (report, events) = run_with_journal(plan.apply(base_scenario()).with_threads(threads));
-        assert_eq!(ref_image, image(&report), "{threads}-thread faulted replay diverged");
-        assert_eq!(ref_events, events, "{threads}-thread faulted journal stream diverged");
+        let (report, events) = run_with_journal(fleet.clone().with_threads(threads));
+        // Plain `assert!`: the images run to megabytes, too long to print.
+        assert!(serial_image == image(&report), "{threads}-thread faulted replay diverged");
+        let first_diff = serial_events.iter().zip(&events).position(|(a, b)| a != b);
+        assert!(
+            first_diff.is_none() && serial_events.len() == events.len(),
+            "{threads}-thread faulted journal stream diverged at record {first_diff:?} \
+             ({} vs {} records)",
+            serial_events.len(),
+            events.len()
+        );
     }
 }
 

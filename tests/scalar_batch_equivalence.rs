@@ -9,10 +9,17 @@
 //! sample cadence, run length, and per-node fault plans (faulted nodes
 //! drop to scalar passthrough, so mixed batch/scalar shards are exercised
 //! too). Each case compares FNV digests of the complete reports — traces,
-//! counters, events — across scalar 1-thread vs batched 1/2/4-thread runs.
+//! counters, events — of scalar vs batched runs twice: on the case's own
+//! small fleet (serial loop), and on the same fleet widened with plain
+//! nodes to `4 × MIN_NODES_PER_SHARD + nodes`, batched at 1/2/4 threads.
+//! Only the widened fleet is large enough for `effective_width` to open
+//! 2- and 4-shard pools (uneven ones, thanks to the case's own nodes);
+//! each threaded run asserts its width so none can silently run serially.
 
 use proptest::prelude::*;
-use unitherm::cluster::{report_digest, DvfsScheme, FanScheme, Scenario, Simulation, WorkloadSpec};
+use unitherm::cluster::{
+    report_digest, DvfsScheme, FanScheme, Scenario, Simulation, WorkloadSpec, MIN_NODES_PER_SHARD,
+};
 use unitherm::core::control_array::Policy;
 use unitherm::simnode::faults::{FaultEvent, FaultPlan};
 use unitherm::workload::{NpbBenchmark, NpbClass};
@@ -91,14 +98,23 @@ proptest! {
             faults,
         };
         let scalar = Simulation::new(build(&case).with_force_scalar(true)).run();
-        let want = report_digest(&scalar);
+        let batched = Simulation::new(build(&case)).run();
+        prop_assert_eq!(
+            report_digest(&batched),
+            report_digest(&scalar),
+            "batched run diverged from scalar for {:?}",
+            case
+        );
+
+        let wide = || build(&case).with_nodes(4 * MIN_NODES_PER_SHARD + case.nodes);
+        let want = report_digest(&Simulation::new(wide().with_force_scalar(true)).run());
         for threads in [1usize, 2, 4] {
-            let batched =
-                Simulation::new(build(&case).with_threads(threads)).run();
+            let sim = Simulation::new(wide().with_threads(threads));
+            prop_assert_eq!(sim.width(), threads);
             prop_assert_eq!(
-                &report_digest(&batched),
+                &report_digest(&sim.run()),
                 &want,
-                "batched run diverged from scalar at {} threads for {:?}",
+                "widened batched run diverged from scalar at {} threads for {:?}",
                 threads,
                 case
             );
