@@ -14,7 +14,7 @@ use unitherm_hwmon::{LmSensors, PlatformActuators, PlatformBinding};
 use unitherm_metrics::{RunningStats, TimeSeries};
 use unitherm_obs::{Counters, EventSink, Observer, RingSink, TeeSink};
 use unitherm_simnode::faults::FaultPlan;
-use unitherm_simnode::Node;
+use unitherm_simnode::{Node, PhysicsBatch};
 use unitherm_workload::{WorkState, Workload};
 
 use crate::replay::classify_fault;
@@ -104,11 +104,6 @@ pub struct NodeSim {
     /// Watermark into `Node::fault_log`: entries before it have already
     /// been emitted as `FaultInjected` events.
     fault_log_seen: usize,
-    /// True when this node must take the scalar tick path every tick: its
-    /// control plane runs per-tick daemons, it has fault sources, or the
-    /// scenario forces scalar. False means the node's physics runs on the
-    /// structure-of-arrays lanes between samples (see `crate::sim`).
-    pub(crate) passthrough: bool,
     /// True when the workload reports `Running` forever (never parks,
     /// never finishes) — lets the fleet skip its per-tick state poll.
     pub(crate) endless: bool,
@@ -147,11 +142,6 @@ impl NodeSim {
             &attach_sample,
             &mut PlatformActuators { node: &mut node, binding: &mut binding },
         );
-
-        // Per-tick daemons (e.g. CPUSPEED) and fault sources need the full
-        // scalar tick every tick; everything else can ride the batch lanes
-        // between samples.
-        let passthrough = plane.wants_tick() || node.has_fault_sources() || scenario.force_scalar;
         let endless = workload.is_endless();
 
         Self {
@@ -166,7 +156,6 @@ impl NodeSim {
             events: RingSink::with_capacity(scenario.event_capacity),
             counters: Counters::default(),
             fault_log_seen: 0,
-            passthrough,
             endless,
         }
     }
@@ -221,10 +210,33 @@ impl NodeSim {
         self.emit_fault_events(now_s, journal);
     }
 
+    /// The lane route's fault sync for this node, which sits in slot `i` of
+    /// `batch`: on a tick where a fault is due, store the slot into the
+    /// node, deliver the due faults (the same [`Node::deliver_due_faults`]
+    /// the scalar tick runs), load the slot back and emit the
+    /// `FaultInjected` events. Call between `batch.begin_tick` and
+    /// `batch.tick_all`. Store and load are full copies, so any state a
+    /// fault touches reaches the lanes.
+    pub(crate) fn sync_due_faults(
+        &mut self,
+        batch: &mut PhysicsBatch,
+        i: usize,
+        now_s: f64,
+        journal: Option<&mut (dyn EventSink + 'static)>,
+    ) {
+        if !self.node.has_fault_due(batch.ticks(), batch.time_s()) {
+            return;
+        }
+        batch.store(i, &mut self.node);
+        self.node.deliver_due_faults();
+        batch.load(i, &self.node);
+        self.emit_fault_events(now_s, journal);
+    }
+
     /// Emits a `FaultInjected` event for every fault the node's plans
-    /// delivered during the tick that just ran. Runs on both the serial and
-    /// sharded paths (the sharded journal scratch drains in node order), so
-    /// the journal stream stays thread-count invariant. No-op — and
+    /// delivered during the tick that just ran, on either route and at any
+    /// width (worker shards' journal scratch drains in node order), so the
+    /// journal stream stays route- and width-invariant. No-op — and
     /// allocation-free — on fault-free ticks.
     fn emit_fault_events(&mut self, now_s: f64, journal: Option<&mut (dyn EventSink + 'static)>) {
         let log = self.node.fault_log();

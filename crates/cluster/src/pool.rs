@@ -1,28 +1,30 @@
-//! The persistent node-parallel worker pool behind [`crate::sim::Simulation`].
+//! Shard layout, the one pass dispatch, and the persistent node-parallel
+//! worker pool behind [`crate::sim::Simulation`].
 //!
-//! A simulation built with `Scenario::threads > 1` shards its nodes into
-//! contiguous ranges and runs the per-node halves of every tick — workload
-//! advance (pass A), daemons + physics (pass B), and the 4 Hz sampling
-//! pass — shard-parallel on this pool. The pool is created once per
-//! simulation and persists across ticks: at a 50 ms simulated dt a tick is
-//! microseconds of work, so spawn-per-tick (or even scope-per-tick) would
-//! dominate the run.
+//! A simulation splits its nodes into `width` contiguous shards
+//! ([`shard_range`]) and runs the per-node halves of every tick — workload
+//! advance (pass A), fault delivery + daemons + physics (pass B), and the
+//! 4 Hz sampling pass — through [`exec_shard`], once per shard. Shard 0
+//! always runs inline on the calling thread. At width > 1 this pool runs
+//! shards 1..n in parallel; it is created once per simulation and persists
+//! across ticks: at a 50 ms simulated dt a tick is microseconds of work,
+//! so spawn-per-tick (or even scope-per-tick) would dominate the run.
 //!
 //! # Determinism
 //!
-//! Results are bit-identical to the serial loop at every thread count:
+//! Results are bit-identical at every width:
 //!
 //! * per-node work is shared-nothing — a node's tick depends only on its
 //!   own state plus tick-global inputs (the barrier-release decision, the
 //!   rack air temperature) that are fixed before the pass starts;
 //! * the two cross-node reductions are exact: the barrier flags are
 //!   booleans (order-free), and rack heat is written **per node** into a
-//!   scratch slot and folded by the coordinator in node order — the same
-//!   left-to-right f64 summation the serial loop performs, independent of
-//!   the shard layout;
-//! * journal tees buffer per-shard in pre-reserved scratch and are drained
-//!   into the sink in shard (= node) order after the pass, preserving the
-//!   "tick order, node order within a tick" contract byte-for-byte.
+//!   scratch slot and folded by the coordinator in node order — one
+//!   left-to-right f64 summation, independent of the shard layout;
+//! * shard 0 writes journal records straight to the sink; shards 1..n tee
+//!   into pre-reserved per-shard scratch that the coordinator drains in
+//!   shard (= node) order after the pass, preserving the "tick order, node
+//!   order within a tick" contract byte-for-byte.
 //!
 //! # Synchronization
 //!
@@ -41,9 +43,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 
 use unitherm_obs::{EventSink, VecSink};
-use unitherm_simnode::PhysicsBatch;
 
 use crate::node_sim::NodeSim;
+use crate::sim::{hardware_pass, sample_pass, workload_pass, ShardLanes};
 
 /// Which per-node pass to run over a shard.
 #[derive(Clone, Copy)]
@@ -53,8 +55,8 @@ pub(crate) enum PassKind {
         /// Physics tick, seconds.
         dt_s: f64,
     },
-    /// Pass B: optional barrier release, per-tick daemons + physics,
-    /// per-node heat capture, finish detection.
+    /// Pass B: optional barrier release, fault delivery, per-tick daemons
+    /// + physics, per-node heat capture, finish detection.
     Hardware {
         /// Physics tick, seconds.
         dt_s: f64,
@@ -62,10 +64,8 @@ pub(crate) enum PassKind {
         now_s: f64,
         /// Whether the barrier released this tick (decided from pass A).
         release: bool,
-        /// Whether to capture per-node heat for the rack reduction.
-        couple_rack: bool,
-        /// Whether the workload can finish on its own (gates the pure-lane
-        /// route in `sim::hardware_pass`).
+        /// Whether the workload can finish on its own (gates the lane
+        /// route's finish scan in `sim::hardware_pass`).
         finite: bool,
     },
     /// The 4 Hz sampling pass: sensor read, control plane, recorders.
@@ -87,29 +87,28 @@ pub(crate) struct ShardOut {
     pub finished_delta: usize,
 }
 
-/// One parallel section: everything a worker needs to process its shard.
+/// One pass over every shard: everything [`exec_shard`] needs.
 ///
 /// Raw pointers stand in for the `&mut` borrows the coordinator holds; the
-/// run protocol guarantees workers only dereference them between the epoch
-/// publish and their completion decrement, while the coordinator is parked
-/// inside [`WorkerPool::run`] and the borrows are live.
+/// run protocol guarantees each shard's slices are only dereferenced by the
+/// one thread running that shard, while the coordinator is inside
+/// `Simulation::pass` and the borrows are live.
 #[derive(Clone, Copy)]
-struct Job {
-    nodes: *mut NodeSim,
-    /// Per-shard physics batches (`shards` entries); slot `s` mirrors the
-    /// node range of shard `s`.
-    batches: *mut PhysicsBatch,
-    len: usize,
-    shards: usize,
-    kind: PassKind,
-    /// Per-node heat slots (`len` entries) or null when the pass does not
-    /// capture heat.
-    heat: *mut f64,
+pub(crate) struct Job {
+    pub nodes: *mut NodeSim,
+    /// Per-shard lanes (`shards` entries; slot `s` mirrors the node range
+    /// of shard `s`), or null on the scalar route.
+    pub lanes: *mut ShardLanes,
+    pub len: usize,
+    pub shards: usize,
+    pub kind: PassKind,
+    /// Per-node heat slots (`len` entries), or null when no rack is coupled.
+    pub heat: *mut f64,
     /// Per-shard reduction slots (`shards` entries).
-    outs: *mut ShardOut,
-    /// Per-shard journal scratch (`shards` entries) or null when no
-    /// journal is attached.
-    scratch: *mut VecSink,
+    pub outs: *mut ShardOut,
+    /// Journal scratch for shards 1..n (`shards - 1` entries), or null when
+    /// no journal is attached or no pool runs.
+    pub scratch: *mut VecSink,
 }
 
 // SAFETY: the pointers are only dereferenced under the run protocol above,
@@ -152,6 +151,10 @@ pub(crate) struct WorkerPool {
 
 /// The contiguous node range of shard `s` out of `shards` over `len` nodes.
 pub(crate) fn shard_range(len: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
+    // Width 1 — most runs — skips the two divisions on every pass.
+    if shards == 1 {
+        return 0..len;
+    }
     (s * len / shards)..((s + 1) * len / shards)
 }
 
@@ -159,7 +162,7 @@ impl WorkerPool {
     /// Spawns `shards - 1` workers (the coordinator is shard 0).
     ///
     /// # Panics
-    /// `shards` must be at least 2 — a 1-shard pool is the serial loop.
+    /// `shards` must be at least 2 — width 1 runs without a pool.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 2, "a pool needs at least two shards");
         let shared = Arc::new(Shared {
@@ -195,38 +198,15 @@ impl WorkerPool {
         self.shards
     }
 
-    /// Runs one pass over `nodes`, shard-parallel, returning when every
-    /// shard (including the coordinator's own shard 0) has finished.
+    /// Runs `job` over every shard — shards 1..n on the workers, shard 0 on
+    /// the calling thread with `journal` as its sink — and returns when all
+    /// have finished.
     ///
-    /// `outs` must hold one slot per shard; `heat`, when given, one slot
-    /// per node; `scratch`, when given, one pre-reserved sink per shard.
-    pub fn run(
-        &self,
-        nodes: &mut [NodeSim],
-        batches: &mut [PhysicsBatch],
-        kind: PassKind,
-        heat: Option<&mut [f64]>,
-        outs: &mut [ShardOut],
-        scratch: Option<&mut [VecSink]>,
-    ) {
-        assert_eq!(batches.len(), self.shards, "one physics batch per shard");
-        assert_eq!(outs.len(), self.shards, "one reduction slot per shard");
-        if let Some(heat) = &heat {
-            assert_eq!(heat.len(), nodes.len(), "one heat slot per node");
-        }
-        if let Some(scratch) = &scratch {
-            assert_eq!(scratch.len(), self.shards, "one journal scratch per shard");
-        }
-        let job = Job {
-            nodes: nodes.as_mut_ptr(),
-            batches: batches.as_mut_ptr(),
-            len: nodes.len(),
-            shards: self.shards,
-            kind,
-            heat: heat.map_or(std::ptr::null_mut(), |h| h.as_mut_ptr()),
-            outs: outs.as_mut_ptr(),
-            scratch: scratch.map_or(std::ptr::null_mut(), |s| s.as_mut_ptr()),
-        };
+    /// # Safety
+    /// `job`'s pointers must be valid for the whole call, laid out as its
+    /// field docs say, and not otherwise accessed until it returns.
+    pub unsafe fn run(&self, job: Job, journal: Option<&mut (dyn EventSink + 'static)>) {
+        assert_eq!(job.shards, self.shards, "one pool worker per shard beyond the first");
 
         // Publish: countdown first, then the job, then the epoch (release)
         // so an acquiring worker sees both.
@@ -241,7 +221,7 @@ impl WorkerPool {
 
         // The coordinator is shard 0.
         // SAFETY: shard ranges are disjoint; shard 0 is ours alone.
-        unsafe { exec_shard(&job, 0) };
+        unsafe { exec_shard(&job, 0, journal) };
 
         // Wait for the workers, spinning briefly before parking; the last
         // worker unparks us.
@@ -300,8 +280,13 @@ fn worker_loop(shared: &Shared, shard: usize) {
         // keeps the underlying borrows alive until `remaining` hits 0.
         let job = unsafe { (*shared.job.get()).expect("epoch bump publishes a job") };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: disjoint shard ranges; this shard is ours alone.
-            unsafe { exec_shard(&job, shard) };
+            // SAFETY: disjoint shard ranges; this shard and its scratch
+            // (slot `shard - 1`) are ours alone.
+            unsafe {
+                let journal = (!job.scratch.is_null())
+                    .then(|| &mut *job.scratch.add(shard - 1) as &mut (dyn EventSink + 'static));
+                exec_shard(&job, shard, journal);
+            }
         }));
         if let Err(payload) = result {
             shared.panic.lock().expect("panic slot").get_or_insert(payload);
@@ -312,34 +297,39 @@ fn worker_loop(shared: &Shared, shard: usize) {
     }
 }
 
-/// Processes shard `s` of the published job. Caller guarantees exclusive
-/// access to the shard's node range, its physics batch, and slot `s` of
-/// `outs` / `scratch` (plus the shard's rows of `heat`).
+/// Runs `job`'s pass over shard `s` — the one dispatch every pass of every
+/// tick goes through, at any width. `journal` receives the shard's events:
+/// the simulation's journal itself for shard 0, the shard's scratch on a
+/// worker.
 ///
-/// The pass bodies are the shared `crate::sim` functions the serial loop
-/// runs — same code over the shard's slice, so the two paths cannot drift.
-unsafe fn exec_shard(job: &Job, s: usize) {
+/// # Safety
+/// The caller guarantees exclusive access to the shard's node range, its
+/// lanes, slot `s` of `outs` and the shard's rows of `heat`.
+// Inlined (with `Simulation::pass`) so each call site's constant pass kind
+// folds the match away: outlined, the dispatch cost a 1-node width-1 tick
+// ~13 ns (12 %) on a 2-vCPU Xeon VM.
+#[inline(always)]
+pub(crate) unsafe fn exec_shard(
+    job: &Job,
+    s: usize,
+    journal: Option<&mut (dyn EventSink + 'static)>,
+) {
     let range = shard_range(job.len, job.shards, s);
     let nodes = std::slice::from_raw_parts_mut(job.nodes.add(range.start), range.len());
-    let batch = &mut *job.batches.add(s);
+    let lanes = (!job.lanes.is_null()).then(|| &mut *job.lanes.add(s));
     let out = &mut *job.outs.add(s);
-    *out = ShardOut { unfinished_parked: true, any_parked: false, finished_delta: 0 };
-    let journal = (!job.scratch.is_null())
-        .then(|| &mut *job.scratch.add(s) as &mut (dyn EventSink + 'static));
 
     match job.kind {
         PassKind::Workload { dt_s } => {
-            crate::sim::workload_pass(nodes, batch, dt_s, out);
+            workload_pass(nodes, lanes.map(|l| &mut l.batch), dt_s, out);
         }
-        PassKind::Hardware { dt_s, now_s, release, couple_rack, finite } => {
-            let heat = couple_rack
+        PassKind::Hardware { dt_s, now_s, release, finite } => {
+            let heat = (!job.heat.is_null())
                 .then(|| std::slice::from_raw_parts_mut(job.heat.add(range.start), range.len()));
-            crate::sim::hardware_pass(
-                nodes, batch, dt_s, now_s, release, finite, heat, journal, out,
-            );
+            hardware_pass(nodes, lanes, dt_s, now_s, release, finite, heat, journal, out);
         }
         PassKind::Sample { now_s } => {
-            crate::sim::sample_pass(nodes, batch, now_s, journal);
+            sample_pass(nodes, lanes.map(|l| &mut l.batch), now_s, journal);
         }
     }
 }

@@ -249,16 +249,21 @@ pub struct Scenario {
     /// shards than give each [`crate::sim::MIN_NODES_PER_SHARD`] nodes, so
     /// asking for threads never slows a small run down. Width 1 — the
     /// default, and any fleet under `2 × MIN_NODES_PER_SHARD` nodes — runs
-    /// the serial tick path; wider runs shard the nodes across a persistent
-    /// worker pool with bit-identical results (see `crate::pool`).
+    /// every pass on the calling thread; wider runs also shard the nodes
+    /// across a persistent worker pool, with bit-identical results (see
+    /// `crate::pool`).
     /// Coordinate with [`crate::sweep::run_scenarios_parallel`]'s thread
     /// budget when sweeping many scenarios at once.
     #[serde(default = "default_threads")]
     pub threads: usize,
-    /// Force every node onto the scalar per-struct tick path, bypassing the
-    /// structure-of-arrays [`unitherm_simnode::PhysicsBatch`] fast lanes.
-    /// The two paths are bit-identical (pinned by the equivalence tests);
-    /// this switch exists so tests and benchmarks can compare them.
+    /// Run every node on the scalar per-node `Node::tick` instead of the
+    /// structure-of-arrays [`unitherm_simnode::PhysicsBatch`] lanes: the
+    /// reference oracle the lanes are checked against. The route is chosen
+    /// once per simulation — runs with a per-tick daemon (CPUSPEED) take
+    /// the scalar route regardless, every other run ticks on the lanes,
+    /// faulted nodes included. The routes are bit-identical (pinned by the
+    /// equivalence tests and the golden traces); this switch exists so
+    /// tests and benchmarks can compare them.
     #[serde(default)]
     pub force_scalar: bool,
 }
@@ -392,15 +397,15 @@ impl Scenario {
         self
     }
 
-    /// Builder: intra-run worker threads (1 = serial tick loop; more shard
-    /// the nodes across a persistent pool, bit-identically).
+    /// Builder: intra-run worker threads (1 = no pool; more shard the nodes
+    /// across a persistent pool, bit-identically).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Builder: force the scalar per-struct tick path (disables the
-    /// structure-of-arrays physics lanes; for equivalence tests and
+    /// Builder: run on the scalar per-node tick (the reference oracle for
+    /// the structure-of-arrays physics lanes; for equivalence tests and
     /// benchmarks).
     pub fn with_force_scalar(mut self, force: bool) -> Self {
         self.force_scalar = force;

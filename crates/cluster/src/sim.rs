@@ -12,13 +12,20 @@
 //! (near-zero utilization) until every unfinished rank arrives. A rank on a
 //! throttled or down-scaled CPU therefore delays the whole job — the
 //! mechanism behind the paper's execution-time results.
+//!
+//! There is one tick body ([`Simulation::tick`]) at every width, and its
+//! physics takes one of two routes, chosen once per simulation: the
+//! structure-of-arrays lanes ([`PhysicsBatch::tick_all`], with fault
+//! delivery and the 4 Hz sample as sync points), or the scalar per-node
+//! [`unitherm_simnode::Node::tick`] for runs with a per-tick daemon
+//! (CPUSPEED) or `Scenario::force_scalar`.
 
 use unitherm_obs::{EventSink, VecSink};
 use unitherm_simnode::PhysicsBatch;
 use unitherm_workload::WorkState;
 
 use crate::node_sim::NodeSim;
-use crate::pool::{shard_range, PassKind, ShardOut, WorkerPool};
+use crate::pool::{exec_shard, shard_range, Job, PassKind, ShardOut, WorkerPool};
 use crate::report::{NodeReport, RunReport};
 use crate::scenario::{Scenario, ScenarioError};
 
@@ -34,9 +41,9 @@ pub const MIN_NODES_PER_SHARD: usize = 128;
 
 /// The worker-pool width a run with `threads` requested threads over
 /// `nodes` nodes actually uses: at most `threads`, and no more shards than
-/// give each one [`MIN_NODES_PER_SHARD`] nodes; never below 1 (the serial
-/// loop). The simulation, the sweep budget and the service's permit grant
-/// all size themselves from this one rule.
+/// give each one [`MIN_NODES_PER_SHARD`] nodes; never below 1 (one shard,
+/// no pool). The simulation, the sweep budget and the service's permit
+/// grant all size themselves from this one rule.
 pub fn effective_width(threads: usize, nodes: usize) -> usize {
     threads.min(nodes / MIN_NODES_PER_SHARD).max(1)
 }
@@ -62,27 +69,43 @@ pub struct Simulation {
     /// teed into it on top of the per-node rings (e.g. a JSONL
     /// [`unitherm_obs::JournalWriter`] behind `unitherm-bench --journal`).
     journal: Option<Box<dyn EventSink>>,
-    /// Structure-of-arrays lanes over the hot physics state, one batch per
-    /// shard (exactly one on the serial path). Nodes whose semantics the
-    /// lanes cannot replicate (per-tick daemons, fault sources,
-    /// `Scenario::force_scalar`) are flagged passthrough and keep ticking
-    /// through their scalar [`unitherm_simnode::Node`]; everyone else ticks
-    /// on the lanes and syncs back at every sample (see `sample_pass`).
-    batches: Vec<PhysicsBatch>,
-    /// Node indices of the passthrough nodes (scalar-authoritative), so the
-    /// rack ambient fan-out does not scan 100k `NodeSim` structs per tick.
-    passthrough_idx: Vec<usize>,
-    /// Per-shard reduction slots for the parallel passes (one slot on the
-    /// serial path).
+    /// The lane route's per-shard state: a structure-of-arrays batch over
+    /// the shard's hot physics plus the indices of its faulted nodes. Every
+    /// node ticks on the lanes and syncs with its scalar
+    /// [`unitherm_simnode::Node`] at fault delivery and at every sample.
+    /// Empty on the scalar route, where every node ticks its own `Node`.
+    lanes: Vec<ShardLanes>,
+    /// Per-shard reduction slots, one per shard: their count is the width.
     shard_outs: Vec<ShardOut>,
     /// Per-node heat slots for the rack reduction: each pass fills its
-    /// shard's rows, the coordinator folds them in node order so the f64
-    /// summation order matches the historical serial loop exactly.
+    /// shard's rows, the coordinator folds them in node order, so the f64
+    /// summation order is the same at every width.
     heat_scratch: Vec<f64>,
-    /// Per-shard journal scratch: parallel passes tee events here and the
-    /// coordinator drains shard 0, 1, … — i.e. node order — into the
-    /// journal after each pass. Pre-reserved in `attach_journal`.
+    /// Journal scratch for shards 1..n: pool workers tee events here and
+    /// the coordinator drains them in shard — i.e. node — order after each
+    /// pass (shard 0 writes to the journal directly). Pre-reserved in
+    /// `attach_journal`; empty at width 1.
     event_scratch: Vec<VecSink>,
+}
+
+/// One shard's state on the lane route.
+pub(crate) struct ShardLanes {
+    /// The hot physics of the shard's nodes; slot `i` mirrors the shard's
+    /// `i`-th node.
+    pub batch: PhysicsBatch,
+    /// Slots whose node carries fault sources — the only ones pass B checks
+    /// for a fault due.
+    pub faulted: Vec<usize>,
+}
+
+impl ShardLanes {
+    /// Loads the lanes from `nodes`' current state.
+    fn new(nodes: &[NodeSim]) -> Self {
+        Self {
+            batch: PhysicsBatch::from_nodes(nodes.iter().map(|ns| &ns.node)),
+            faulted: (0..nodes.len()).filter(|&i| nodes[i].node.has_fault_sources()).collect(),
+        }
+    }
 }
 
 impl Simulation {
@@ -107,26 +130,23 @@ impl Simulation {
             model
         });
         // Width 1 — the default, and any fleet too small to pay for a
-        // shard — skips the pool entirely and runs the serial loop.
+        // shard — runs every pass inline, without a pool.
         let shards = effective_width(scenario.threads, nodes.len());
         let pool = (shards > 1).then(|| WorkerPool::new(shards));
         let heat_scratch = if rack.is_some() { vec![0.0; nodes.len()] } else { Vec::new() };
         let shard_outs = vec![ShardOut::default(); shards];
-        // One physics batch per shard, loaded from the post-attach (and
+        // The route is one choice per simulation: a per-tick daemon has no
+        // lane sync point, and `force_scalar` asks for the reference path.
+        // Otherwise one batch per shard, loaded from the post-attach (and
         // post-rack-ambient) node state so the lanes resume bit-exactly.
-        let batches: Vec<PhysicsBatch> = (0..shards)
-            .map(|s| {
-                let range = shard_range(nodes.len(), shards, s);
-                let mut batch =
-                    PhysicsBatch::from_nodes(nodes[range.clone()].iter().map(|ns| &ns.node));
-                for (j, ns) in nodes[range].iter().enumerate() {
-                    batch.set_passthrough(j, ns.passthrough);
-                }
-                batch
-            })
-            .collect();
-        let passthrough_idx =
-            nodes.iter().enumerate().filter(|(_, ns)| ns.passthrough).map(|(i, _)| i).collect();
+        let scalar = scenario.force_scalar || nodes.iter().any(|ns| ns.plane.wants_tick());
+        let lanes = if scalar {
+            Vec::new()
+        } else {
+            (0..shards)
+                .map(|s| ShardLanes::new(&nodes[shard_range(nodes.len(), shards, s)]))
+                .collect()
+        };
         Ok(Self {
             pool,
             scenario,
@@ -138,8 +158,7 @@ impl Simulation {
             ticks_per_sample,
             finished_nodes: 0,
             journal: None,
-            batches,
-            passthrough_idx,
+            lanes,
             shard_outs,
             heat_scratch,
             event_scratch: Vec::new(),
@@ -166,11 +185,11 @@ impl Simulation {
         // the report instead of only on `finish()`.
         self.journal = Some(sink);
         if let Some(pool) = &self.pool {
-            // One pre-reserved scratch per shard; a tick rarely emits more
-            // than a few events per node, so the reserve makes the buffer
-            // effectively fixed-capacity (growth stays possible but is
-            // amortized away and never affects determinism).
-            self.event_scratch = (0..pool.shards())
+            // One pre-reserved scratch per worker shard; a tick rarely emits
+            // more than a few events per node, so the reserve makes the
+            // buffer effectively fixed-capacity (growth stays possible but
+            // is amortized away and never affects determinism).
+            self.event_scratch = (1..pool.shards())
                 .map(|s| {
                     let mut sink = VecSink::default();
                     let shard_nodes = shard_range(self.nodes.len(), pool.shards(), s).len();
@@ -191,10 +210,11 @@ impl Simulation {
         self.attach_journal(Box::new(unitherm_obs::BinaryJournalWriter::new(out, dt_s)));
     }
 
-    /// The worker-pool width this run uses: [`effective_width`] of the
-    /// scenario's `threads` and node count (1 = the serial loop).
+    /// The number of shards this run uses, on either route:
+    /// [`effective_width`] of the scenario's `threads` and node count
+    /// (1 = no pool).
     pub fn width(&self) -> usize {
-        self.batches.len()
+        self.shard_outs.len()
     }
 
     /// Current simulated time.
@@ -204,10 +224,10 @@ impl Simulation {
 
     /// Immutable access to the nodes (diagnostics, tests).
     ///
-    /// Between samples the hot physics state of non-passthrough nodes lives
-    /// in the structure-of-arrays lanes, so the scalar `Node` structs seen
-    /// here can lag by up to one sample period; [`Simulation::nodes_synced`]
-    /// stores the lanes back first.
+    /// On the lane route the hot physics state lives in the
+    /// structure-of-arrays lanes between samples, so the scalar `Node`
+    /// structs seen here can lag by up to one sample period;
+    /// [`Simulation::nodes_synced`] stores the lanes back first.
     pub fn nodes(&self) -> &[NodeSim] {
         &self.nodes
     }
@@ -215,87 +235,115 @@ impl Simulation {
     /// Like [`Simulation::nodes`], but stores the physics lanes back into
     /// the scalar nodes first, so every `Node` reflects the current tick.
     pub fn nodes_synced(&mut self) -> &[NodeSim] {
-        self.sync_batches();
+        self.sync_lanes();
         &self.nodes
     }
 
     /// Advances the cluster one tick.
     ///
-    /// The loop is fused into two passes over the nodes (plus the rack /
-    /// sampling work that genuinely needs a completed pass) and performs no
-    /// heap allocation in steady state — the barrier reduction folds into
-    /// pass A instead of collecting per-rank states into a scratch `Vec`.
-    /// With `Scenario::threads > 1` both passes (and the sampling pass) run
-    /// shard-parallel on the persistent `pool::WorkerPool` with
-    /// bit-identical results; the default runs the serial loop unchanged.
+    /// Two passes over the nodes (plus the rack / sampling work that needs a
+    /// completed pass), with no heap allocation in steady state — the
+    /// barrier reduction folds into pass A instead of collecting per-rank
+    /// states into a scratch `Vec`. Every pass runs through
+    /// [`Simulation::pass`], shard-parallel at width > 1 with bit-identical
+    /// results.
     pub fn tick(&mut self) {
-        if self.pool.is_some() {
-            self.tick_sharded();
-        } else {
-            self.tick_serial();
-        }
-    }
-
-    /// The single-threaded tick loop (`threads = 1`): the shared pass
-    /// functions over the lone shard.
-    fn tick_serial(&mut self) {
-        let dt = self.scenario.dt_s;
+        let dt_s = self.scenario.dt_s;
         self.ticks += 1;
-        self.time_s += dt;
+        self.time_s += dt_s;
+
+        // Pass A — workloads advance; the barrier reduction folds per
+        // shard, then across shards (order-free booleans). Release is
+        // all-or-nothing, so the decision needs every rank's post-advance
+        // state and cannot merge with pass B.
+        self.pass(PassKind::Workload { dt_s });
+        let release = self.shard_outs.iter().all(|o| o.unfinished_parked)
+            && self.shard_outs.iter().any(|o| o.any_parked);
+
+        // Pass B — barrier release, fault delivery, per-tick daemons +
+        // physics, rack heat capture, and finish times.
         let finite = self.scenario.workload.is_finite();
+        self.pass(PassKind::Hardware { dt_s, now_s: self.time_s, release, finite });
+        self.finished_nodes += self.shard_outs.iter().map(|o| o.finished_delta).sum::<usize>();
 
-        // Pass A — workloads advance; the barrier reduction folds in.
-        // Release is all-or-nothing, so the decision needs every rank's
-        // post-advance state and cannot merge with pass B.
-        let batch = &mut self.batches[0];
-        let out = &mut self.shard_outs[0];
-        workload_pass(&mut self.nodes, batch, dt, out);
-        let release = out.unfinished_parked && out.any_parked;
-
-        // Pass B — per-tick daemons + physics (lanes for fast nodes), rack
-        // heat capture, and finish times.
-        hardware_pass(
-            &mut self.nodes,
-            batch,
-            dt,
-            self.time_s,
-            release,
-            finite,
-            self.rack.is_some().then_some(&mut self.heat_scratch[..]),
-            self.journal.as_deref_mut(),
-            out,
-        );
-        self.finished_nodes += out.finished_delta;
-
-        self.step_rack(dt);
+        self.step_rack(dt_s);
 
         // Sampling path at 4 Hz: lanes store back, daemons run, lanes
         // reload — fused per node so each cache line is touched once.
         if self.ticks.is_multiple_of(self.ticks_per_sample) {
-            sample_pass(
-                &mut self.nodes,
-                &mut self.batches[0],
-                self.time_s,
-                self.journal.as_deref_mut(),
-            );
+            self.pass(PassKind::Sample { now_s: self.time_s });
             self.record_rack_air();
         }
     }
 
+    /// Runs one pass over every shard. Shard 0 runs inline on this thread
+    /// and writes straight to the journal; at width > 1 the pool runs
+    /// shards 1..n alongside it, and their journal scratch drains
+    /// afterwards in shard — i.e. node — order.
+    #[inline(always)] // see `pool::exec_shard`
+    fn pass(&mut self, kind: PassKind) {
+        let shards = self.shard_outs.len();
+        let teeing = self.journal.is_some() && !self.event_scratch.is_empty();
+        // The layout `Job` documents, which the unsafe dispatch relies on.
+        assert!(self.lanes.is_empty() || self.lanes.len() == shards, "one lane set per shard");
+        assert!(
+            self.rack.is_none() || self.heat_scratch.len() == self.nodes.len(),
+            "one heat slot per node"
+        );
+        assert!(!teeing || self.event_scratch.len() == shards - 1, "one scratch per worker shard");
+        let job = Job {
+            nodes: self.nodes.as_mut_ptr(),
+            lanes: if self.lanes.is_empty() {
+                std::ptr::null_mut()
+            } else {
+                self.lanes.as_mut_ptr()
+            },
+            len: self.nodes.len(),
+            shards,
+            kind,
+            heat: if self.rack.is_some() {
+                self.heat_scratch.as_mut_ptr()
+            } else {
+                std::ptr::null_mut()
+            },
+            outs: self.shard_outs.as_mut_ptr(),
+            scratch: if teeing { self.event_scratch.as_mut_ptr() } else { std::ptr::null_mut() },
+        };
+        let journal = self.journal.as_deref_mut();
+        let Some(pool) = &self.pool else {
+            // SAFETY: no pool — this thread owns the lone shard.
+            unsafe { exec_shard(&job, 0, journal) };
+            return;
+        };
+        // SAFETY: the job's pointers come from fields borrowed for this
+        // whole call, laid out as `Job` documents.
+        unsafe { pool.run(job, journal) };
+        if let Some(journal) = &mut self.journal {
+            for scratch in &mut self.event_scratch {
+                for rec in &scratch.records {
+                    journal.record(rec);
+                }
+                scratch.records.clear();
+            }
+        }
+    }
+
     /// Rack air coupling: folds the per-node heat slots in node order (the
-    /// exact historical `heat += …` summation), steps the shared intake-air
-    /// volume, and fans the new ambient out — to every batch lane, and to
-    /// the scalar nodes of the passthrough set.
+    /// same `heat += …` summation at every width), steps the shared
+    /// intake-air volume, and fans the new ambient out — to every lane, or
+    /// on the scalar route to every node.
     fn step_rack(&mut self, dt: f64) {
         let Some(rack) = &mut self.rack else { return };
         let heat = self.heat_scratch.iter().fold(0.0f64, |acc, h| acc + h);
         rack.step(dt, heat);
         let air = rack.air_c();
-        for batch in &mut self.batches {
-            batch.set_ambient_all(air);
+        if self.lanes.is_empty() {
+            for ns in &mut self.nodes {
+                ns.node.set_ambient_c(air);
+            }
         }
-        for &i in &self.passthrough_idx {
-            self.nodes[i].node.set_ambient_c(air);
+        for lanes in &mut self.lanes {
+            lanes.batch.set_ambient_all(air);
         }
     }
 
@@ -306,90 +354,6 @@ impl Simulation {
             if self.scenario.record_series {
                 self.rack_air.push(self.time_s, rack.air_c());
             }
-        }
-    }
-
-    /// The node-parallel tick loop (`threads > 1`): the same passes as
-    /// [`Self::tick_serial`], shard-parallel on the worker pool.
-    ///
-    /// Determinism: the barrier decision folds exact booleans; rack heat is
-    /// captured per node and folded here in node order (the serial
-    /// summation order); journal events drain shard 0, 1, … — node order —
-    /// after each pass. See `crate::pool` for the full argument.
-    fn tick_sharded(&mut self) {
-        let dt = self.scenario.dt_s;
-        self.ticks += 1;
-        self.time_s += dt;
-        let pool = self.pool.as_ref().expect("tick_sharded requires a pool");
-        let teeing = self.journal.is_some();
-        let finite = self.scenario.workload.is_finite();
-
-        // Pass A — workloads advance shard-parallel; the barrier reduction
-        // folds per shard, then across shards (order-free booleans).
-        pool.run(
-            &mut self.nodes,
-            &mut self.batches,
-            PassKind::Workload { dt_s: dt },
-            None,
-            &mut self.shard_outs,
-            None,
-        );
-        let unfinished_parked = self.shard_outs.iter().all(|o| o.unfinished_parked);
-        let any_parked = self.shard_outs.iter().any(|o| o.any_parked);
-        let release = unfinished_parked && any_parked;
-
-        // Pass B — barrier release + per-tick daemons + physics; workers
-        // capture per-node heat and buffer journal events per shard.
-        let couple_rack = self.rack.is_some();
-        if teeing {
-            for scratch in &mut self.event_scratch {
-                scratch.records.clear();
-            }
-        }
-        pool.run(
-            &mut self.nodes,
-            &mut self.batches,
-            PassKind::Hardware { dt_s: dt, now_s: self.time_s, release, couple_rack, finite },
-            couple_rack.then_some(&mut self.heat_scratch[..]),
-            &mut self.shard_outs,
-            teeing.then_some(&mut self.event_scratch[..]),
-        );
-        self.finished_nodes += self.shard_outs.iter().map(|o| o.finished_delta).sum::<usize>();
-        if let Some(journal) = &mut self.journal {
-            for scratch in &self.event_scratch {
-                for rec in &scratch.records {
-                    journal.record(rec);
-                }
-            }
-        }
-
-        self.step_rack(dt);
-
-        // Sampling path at 4 Hz, shard-parallel with the same journal
-        // buffering.
-        if self.ticks.is_multiple_of(self.ticks_per_sample) {
-            if teeing {
-                for scratch in &mut self.event_scratch {
-                    scratch.records.clear();
-                }
-            }
-            let pool = self.pool.as_ref().expect("tick_sharded requires a pool");
-            pool.run(
-                &mut self.nodes,
-                &mut self.batches,
-                PassKind::Sample { now_s: self.time_s },
-                None,
-                &mut self.shard_outs,
-                teeing.then_some(&mut self.event_scratch[..]),
-            );
-            if let Some(journal) = &mut self.journal {
-                for scratch in &self.event_scratch {
-                    for rec in &scratch.records {
-                        journal.record(rec);
-                    }
-                }
-            }
-            self.record_rack_air();
         }
     }
 
@@ -418,27 +382,25 @@ impl Simulation {
         self.into_report()
     }
 
-    /// Stores every non-passthrough node's physics lanes back into its
-    /// scalar `Node` and flushes the batched-tick counters. Idempotent —
-    /// a second call with no ticks in between stores the same bits and
-    /// drains zero skipped ticks.
-    fn sync_batches(&mut self) {
-        let shards = self.batches.len();
+    /// Stores every node's physics lanes back into its scalar `Node` and
+    /// flushes the batched-tick counters (a no-op on the scalar route).
+    /// Idempotent — a second call with no ticks in between stores the same
+    /// bits and drains zero skipped ticks.
+    fn sync_lanes(&mut self) {
+        let shards = self.lanes.len();
         let len = self.nodes.len();
-        for (s, batch) in self.batches.iter_mut().enumerate() {
+        for (s, lanes) in self.lanes.iter_mut().enumerate() {
             let range = shard_range(len, shards, s);
             for (j, ns) in self.nodes[range].iter_mut().enumerate() {
-                if !ns.passthrough {
-                    batch.store(j, &mut ns.node);
-                    ns.counters.ticks_skipped += batch.take_skipped(j);
-                }
+                lanes.batch.store(j, &mut ns.node);
+                ns.counters.ticks_skipped += lanes.batch.take_skipped(j);
             }
         }
     }
 
     /// Finalizes the report from the current state.
     pub fn into_report(mut self) -> RunReport {
-        self.sync_batches();
+        self.sync_lanes();
         let completed = self.nodes.iter().all(|ns| ns.finish_time_s.is_some());
         let exec_time_s = if completed {
             self.nodes.iter().filter_map(|ns| ns.finish_time_s).fold(0.0f64, f64::max)
@@ -489,64 +451,63 @@ impl Simulation {
     }
 }
 
-// --- Shared per-shard pass bodies -----------------------------------------
+// --- Per-shard pass bodies -----------------------------------------------
 //
-// The serial loop and the worker pool's `exec_shard` both run these exact
-// functions over (their slice of) the nodes plus the matching physics batch,
-// so the two paths cannot drift apart. `nodes` and `batch` are index-aligned:
-// slot `i` of the batch mirrors `nodes[i]`.
+// `pool::exec_shard` runs these over one shard's slice of the nodes plus
+// the shard's lanes (`None` on the scalar route). `nodes` and the lanes
+// are index-aligned: slot `i` of the batch mirrors `nodes[i]`.
 
 /// Pass A: advance every rank's workload and fold the barrier flags into
-/// `out`. Fast (non-passthrough) ranks read their execution speed from and
-/// write their load into the lanes; passthrough ranks use the scalar node.
+/// `out`. On the lane route ranks read their execution speed from and write
+/// their load into the lanes; on the scalar route they use their `Node`.
 pub(crate) fn workload_pass(
     nodes: &mut [NodeSim],
-    batch: &mut PhysicsBatch,
+    batch: Option<&mut PhysicsBatch>,
     dt_s: f64,
     out: &mut ShardOut,
 ) {
-    out.unfinished_parked = true;
-    out.any_parked = false;
-    for (i, ns) in nodes.iter_mut().enumerate() {
-        if !ns.passthrough {
-            let speed = batch.speed_factor(i);
-            let w = ns.workload.advance(dt_s, speed);
-            batch.set_load(i, w.utilization, w.activity);
-            // Endless workloads are `Running` by contract — skip the
-            // second virtual dispatch on the hot path.
-            if ns.endless {
-                out.unfinished_parked = false;
-                continue;
-            }
-            match ns.workload.state() {
-                WorkState::AtBarrier(_) => out.any_parked = true,
-                WorkState::Finished => {}
-                _ => out.unfinished_parked = false,
-            }
-            continue;
-        }
-        match ns.tick_workload(dt_s) {
+    fn fold(out: &mut ShardOut, state: WorkState) {
+        match state {
             WorkState::AtBarrier(_) => out.any_parked = true,
             WorkState::Finished => {}
             _ => out.unfinished_parked = false,
         }
     }
+    out.unfinished_parked = true;
+    out.any_parked = false;
+    let Some(batch) = batch else {
+        for ns in nodes {
+            fold(out, ns.tick_workload(dt_s));
+        }
+        return;
+    };
+    for (i, ns) in nodes.iter_mut().enumerate() {
+        let speed = batch.speed_factor(i);
+        let w = ns.workload.advance(dt_s, speed);
+        batch.set_load(i, w.utilization, w.activity);
+        // Endless workloads are `Running` by contract — skip the second
+        // virtual dispatch on the hot path.
+        if ns.endless {
+            out.unfinished_parked = false;
+            continue;
+        }
+        fold(out, ns.workload.state());
+    }
 }
 
-/// Pass B: optional barrier release, per-tick daemons + physics (lanes for
-/// fast ranks, the scalar tick for passthrough ranks), per-node heat
-/// capture, finish detection.
+/// Pass B: optional barrier release, fault delivery, per-tick daemons +
+/// physics, per-node heat capture, finish detection.
 ///
-/// When the whole range is batchable the pass takes the pure-lane route:
-/// barrier release and finish detection touch only workload state — disjoint
-/// from the physics lanes — so they hoist into their own ascending-index
-/// loops around `tick_all` without perturbing per-node evaluation order.
-/// Fast ranks emit no per-tick journal events (no tick daemons, no fault
-/// sources), so the journal stream is unaffected.
+/// On the lane route barrier release and finish detection touch only
+/// workload state — disjoint from the physics lanes — so they hoist into
+/// their own ascending-index loops around `tick_all` without perturbing
+/// per-node evaluation order. Only the shard's faulted slots are checked for
+/// a fault due; `FaultInjected` events are the route's only pass-B events,
+/// emitted in slot order, so the journal stream matches the scalar route.
 #[allow(clippy::too_many_arguments)] // mirrors PassKind::Hardware exactly
 pub(crate) fn hardware_pass(
     nodes: &mut [NodeSim],
-    batch: &mut PhysicsBatch,
+    lanes: Option<&mut ShardLanes>,
     dt_s: f64,
     now_s: f64,
     release: bool,
@@ -556,67 +517,68 @@ pub(crate) fn hardware_pass(
     out: &mut ShardOut,
 ) {
     out.finished_delta = 0;
-    batch.begin_tick(dt_s);
-    if batch.all_fast() {
-        if release {
-            for ns in nodes.iter_mut() {
+    let Some(ShardLanes { batch, faulted }) = lanes else {
+        for (i, ns) in nodes.iter_mut().enumerate() {
+            if release {
                 ns.workload.release_barrier();
             }
-        }
-        batch.tick_all(dt_s);
-        if let Some(heat) = heat {
-            batch.write_heat(heat);
-        }
-        if finite {
-            for ns in nodes.iter_mut() {
-                if ns.finish_time_s.is_none() && ns.workload.is_finished() {
-                    ns.finish_time_s = Some(now_s);
-                    out.finished_delta += 1;
-                }
+            ns.tick_hardware(dt_s, now_s, journal.as_deref_mut());
+            if let Some(heat) = heat.as_deref_mut() {
+                heat[i] = ns.node.heat_output_w();
+            }
+            if ns.finish_time_s.is_none() && ns.workload.is_finished() {
+                ns.finish_time_s = Some(now_s);
+                out.finished_delta += 1;
             }
         }
         return;
-    }
-    for (i, ns) in nodes.iter_mut().enumerate() {
-        if release {
+    };
+    batch.begin_tick(dt_s);
+    if release {
+        for ns in nodes.iter_mut() {
             ns.workload.release_barrier();
         }
-        if ns.passthrough {
-            ns.tick_hardware(dt_s, now_s, journal.as_deref_mut());
-        } else {
-            batch.tick_node(i, dt_s);
-        }
-        if let Some(heat) = heat.as_deref_mut() {
-            heat[i] = if ns.passthrough { ns.node.heat_output_w() } else { batch.heat_output_w(i) };
-        }
-        if ns.finish_time_s.is_none() && ns.workload.is_finished() {
-            ns.finish_time_s = Some(now_s);
-            out.finished_delta += 1;
+    }
+    for &i in faulted.iter() {
+        nodes[i].sync_due_faults(batch, i, now_s, journal.as_deref_mut());
+    }
+    batch.tick_all(dt_s);
+    if let Some(heat) = heat {
+        batch.write_heat(heat);
+    }
+    if finite {
+        for ns in nodes.iter_mut() {
+            if ns.finish_time_s.is_none() && ns.workload.is_finished() {
+                ns.finish_time_s = Some(now_s);
+                out.finished_delta += 1;
+            }
         }
     }
 }
 
-/// The 4 Hz sampling pass: for each fast rank, store the lanes back into
-/// the scalar node, run the sampling path (sensor read, control plane,
-/// recorders), and reload the lanes from the possibly-actuated node — fused
-/// per node so each node's cache lines are touched once per sample.
-/// Batched ticks flush into the node's `ticks_skipped` counter here, exactly
-/// matching the scalar path's per-tick early-out accounting.
+/// The 4 Hz sampling pass: sensor read, control plane, recorders. On the
+/// lane route each rank's lanes store back into its `Node` first and reload
+/// after the possibly-actuating daemons — fused per node so each node's
+/// cache lines are touched once per sample. Batched ticks flush into the
+/// node's `ticks_skipped` counter here, exactly matching the scalar route's
+/// per-tick early-out accounting.
 pub(crate) fn sample_pass(
     nodes: &mut [NodeSim],
-    batch: &mut PhysicsBatch,
+    batch: Option<&mut PhysicsBatch>,
     now_s: f64,
     mut journal: Option<&mut (dyn EventSink + 'static)>,
 ) {
-    for (i, ns) in nodes.iter_mut().enumerate() {
-        if ns.passthrough {
+    let Some(batch) = batch else {
+        for ns in nodes {
             ns.on_sample(now_s, journal.as_deref_mut());
-        } else {
-            batch.store(i, &mut ns.node);
-            ns.counters.ticks_skipped += batch.take_skipped(i);
-            ns.on_sample(now_s, journal.as_deref_mut());
-            batch.reload_control(i, &ns.node);
         }
+        return;
+    };
+    for (i, ns) in nodes.iter_mut().enumerate() {
+        batch.store(i, &mut ns.node);
+        ns.counters.ticks_skipped += batch.take_skipped(i);
+        ns.on_sample(now_s, journal.as_deref_mut());
+        batch.reload_control(i, &ns.node);
     }
 }
 
@@ -631,7 +593,7 @@ mod tests {
     #[test]
     fn effective_width_table() {
         const M: usize = MIN_NODES_PER_SHARD;
-        // 0 or 1 requested threads: always the serial loop.
+        // 0 or 1 requested threads: always width 1.
         assert_eq!(effective_width(0, 100 * M), 1);
         assert_eq!(effective_width(1, 100 * M), 1);
         // Fewer than MIN nodes per extra shard: no pool.

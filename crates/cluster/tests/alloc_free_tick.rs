@@ -18,6 +18,7 @@ use unitherm_cluster::scenario::{Scenario, WorkloadSpec};
 use unitherm_cluster::scheme::FanScheme;
 use unitherm_cluster::sim::Simulation;
 use unitherm_core::control_array::Policy;
+use unitherm_simnode::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 
 /// Counts every allocation and reallocation going through the global
 /// allocator on the calling thread (deallocations are free to happen —
@@ -100,6 +101,48 @@ fn steady_state_tick_is_allocation_free() {
         report.nodes.iter().any(|node| !node.events.is_empty()),
         "ring sinks captured events with zero heap allocations"
     );
+}
+
+#[test]
+fn fault_delivery_inside_the_window_is_allocation_free() {
+    // Warm-up covers ticks 1..=500 (25 s), the window ticks 501..=1500
+    // (25–75 s). Time- and tick-addressed faults both land inside it, on
+    // the lane route (sync through store → deliver → load) and on the
+    // scalar route (`Node::tick`).
+    for force_scalar in [false, true] {
+        let mut sim = warmed(
+            Scenario::new("alloc-faults")
+                .with_nodes(4)
+                .with_workload(WorkloadSpec::CpuBurn)
+                .with_fan(FanScheme::dynamic(Policy::MODERATE, 100))
+                .with_recording(false)
+                .with_max_time(1e9)
+                .with_force_scalar(force_scalar)
+                .with_fault(
+                    1,
+                    FaultPlan::none()
+                        .at(30.0, FaultEvent::FanFailure)
+                        .at(50.0, FaultEvent::FanRepair)
+                        .at(60.0, FaultEvent::AmbientStep(30.0)),
+                )
+                .with_tick_faults(
+                    2,
+                    TickFaultSchedule::none()
+                        .at_tick(700, FaultEvent::SensorDropout)
+                        .at_tick(900, FaultEvent::SensorRestore)
+                        .at_tick(1100, FaultEvent::PwmStuck),
+                ),
+        );
+        let n = allocations_during(|| {
+            for _ in 0..1000 {
+                sim.tick();
+            }
+        });
+        assert_eq!(n, 0, "faulted tick loop allocated {n} times (force_scalar {force_scalar})");
+        let report = sim.into_report();
+        assert_eq!(report.nodes[1].faults_applied.len(), 3, "time faults landed in the window");
+        assert_eq!(report.nodes[2].faults_applied.len(), 3, "tick faults landed in the window");
+    }
 }
 
 #[test]

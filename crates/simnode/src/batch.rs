@@ -12,28 +12,36 @@
 //!
 //! # Bit-identical by construction
 //!
-//! Every arithmetic step in [`tick_node`] delegates to the same
+//! Every arithmetic step in [`tick_all`] delegates to the same
 //! `pub(crate)` raw functions the scalar path uses ([`thermal::step_raw`],
 //! [`cpu::power_raw`], [`fan::step_raw`], [`power::observe_raw`],
 //! [`adt7467::static_curve_duty_raw`]) with operands in the same order, and
 //! [`load`]/[`store`] copy the memo caches (conductance, sub-step, fan lag)
 //! bit-exactly. A batched tick therefore produces *the same f64 bits* as
-//! [`Node::tick`] on every lane — this is pinned by the scalar-vs-batched
-//! equivalence tests.
+//! [`Node::tick`] on every lane — this is pinned by the lockstep unit tests
+//! below and the scalar-vs-batched equivalence tests.
 //!
-//! # Passthrough nodes
+//! # Sync points
 //!
-//! Nodes whose semantics the lanes cannot replicate — active fault sources,
-//! per-tick control daemons — are flagged *passthrough*: the batch carries
-//! their slot but never ticks it, and the owner keeps driving the scalar
-//! [`Node`] for them. [`all_fast`] lets the owner take a pure-lane route
-//! when a whole shard is batchable.
+//! Whatever the lanes cannot express runs on the scalar [`Node`] between a
+//! [`store`] and a [`load`] (or the cheaper [`reload_control`]):
+//!
+//! * the 4 Hz sample pass — sensor read, control plane, recorders;
+//! * fault delivery — on a tick where a node has a fault due, the owner
+//!   stores the slot after [`begin_tick`], calls
+//!   [`Node::deliver_due_faults`] and loads the slot back before
+//!   [`tick_all`], which is exactly the prologue of [`Node::tick`].
+//!
+//! Per-tick control daemons (CPUSPEED) have no sync point: a simulation
+//! that runs one ticks every node on the scalar path instead.
 //!
 //! [`load`]: PhysicsBatch::load
 //! [`store`]: PhysicsBatch::store
-//! [`tick_node`]: PhysicsBatch::tick_node
-//! [`all_fast`]: PhysicsBatch::all_fast
+//! [`reload_control`]: PhysicsBatch::reload_control
+//! [`begin_tick`]: PhysicsBatch::begin_tick
+//! [`tick_all`]: PhysicsBatch::tick_all
 //! [`Node::tick`]: crate::node::Node::tick
+//! [`Node::deliver_due_faults`]: crate::node::Node::deliver_due_faults
 //! [`thermal::step_raw`]: crate::thermal
 //! [`cpu::power_raw`]: crate::cpu
 //! [`fan::step_raw`]: crate::fan
@@ -81,9 +89,6 @@ fn cond_from_u8(c: u8) -> ThermalCondition {
 #[derive(Debug, Default)]
 pub struct PhysicsBatch {
     len: usize,
-    /// Nodes the batch must not tick (scalar path stays authoritative).
-    passthrough: Vec<bool>,
-    passthrough_count: usize,
     /// Ticks elapsed — advances in lockstep with every member node.
     ticks: u64,
     /// Simulation time — accumulates `+= dt` exactly like each `Node`.
@@ -187,7 +192,6 @@ impl PhysicsBatch {
     /// Appends one zeroed slot to every lane.
     fn push_slot(&mut self) {
         self.len += 1;
-        self.passthrough.push(false);
         self.skipped.push(0);
         self.die_c.push(0.0);
         self.sink_c.push(0.0);
@@ -266,32 +270,10 @@ impl PhysicsBatch {
         self.time_s
     }
 
-    /// Marks slot `i` passthrough: the scalar `Node` stays authoritative and
-    /// the batch never ticks it.
-    pub fn set_passthrough(&mut self, i: usize, on: bool) {
-        if self.passthrough[i] != on {
-            self.passthrough[i] = on;
-            if on {
-                self.passthrough_count += 1;
-            } else {
-                self.passthrough_count -= 1;
-            }
-        }
-    }
-
-    /// True when slot `i` is passthrough.
-    pub fn is_passthrough(&self, i: usize) -> bool {
-        self.passthrough[i]
-    }
-
-    /// True when no slot is passthrough (pure-lane fast route is valid).
-    pub fn all_fast(&self) -> bool {
-        self.passthrough_count == 0
-    }
-
     /// Copies all hot state from `node` into slot `i` (bit-exact, including
-    /// memo caches). Call after any scalar-side mutation — daemon actuation,
-    /// sampling — so the lanes resume from exactly the scalar state.
+    /// memo caches). Call after any scalar-side mutation — fault delivery,
+    /// daemon actuation, sampling — so the lanes resume from exactly the
+    /// scalar state.
     pub fn load(&mut self, i: usize, node: &Node) {
         let t = &node.thermal;
         self.die_c[i] = t.die_c;
@@ -369,6 +351,9 @@ impl PhysicsBatch {
     /// Configuration lanes and states the batch never changes (fan
     /// failed/stuck flags, chip registers other than the duty output, the
     /// requested P-state) are not written back; they cannot have diverged.
+    // The 4 Hz sample pass calls this once per node; with more than one
+    // caller, LLVM stops inlining it there on its own.
+    #[inline(always)]
     pub fn store(&self, i: usize, node: &mut Node) {
         node.ticks = self.ticks;
         node.time_s = self.time_s;
@@ -538,9 +523,10 @@ impl PhysicsBatch {
     }
 
     /// Advances the lockstep tick/time counters — call exactly once per
-    /// simulation tick, before [`PhysicsBatch::tick_node`] /
-    /// [`PhysicsBatch::tick_all`]. Mirrors the `ticks += 1; time_s += dt`
-    /// prologue of `Node::tick` so stored-back nodes agree with scalar ones.
+    /// simulation tick, before [`PhysicsBatch::tick_all`]. Mirrors the
+    /// `ticks += 1; time_s += dt` prologue of `Node::tick` so stored-back
+    /// nodes agree with scalar ones (and a slot stored for fault delivery
+    /// sees the tick the faults are due on).
     pub fn begin_tick(&mut self, dt_s: f64) {
         assert!(dt_s > 0.0, "time step must be positive");
         self.ticks += 1;
@@ -566,8 +552,6 @@ impl PhysicsBatch {
     }
 
     /// Sets the intake-air temperature on every slot (rack coupling).
-    /// Passthrough slots are written too — harmless, as they are never
-    /// ticked and reloaded before use.
     pub fn set_ambient_all(&mut self, ambient_c: f64) {
         assert!(ambient_c.is_finite(), "ambient temperature must be finite");
         for a in &mut self.ambient_c {
@@ -575,101 +559,20 @@ impl PhysicsBatch {
         }
     }
 
-    /// Borrows every lane `tick_slot` touches as plain local slices.
-    ///
-    /// Indexing the `Vec` fields through `&mut self` forces the compiler to
-    /// reload each lane's base pointer and length around every store (a
-    /// store through one lane's data pointer could, for all it can prove,
-    /// alias another lane's metadata). Hoisting the lanes into a stack
-    /// struct of slices once per call turns ~45 reload+check sequences per
-    /// slot into plain register-addressed slice indexing — this is where
-    /// the batch's throughput comes from.
-    fn hot(&mut self) -> HotLanes<'_> {
-        HotLanes {
-            skipped: &mut self.skipped,
-            die_c: &mut self.die_c,
-            sink_c: &mut self.sink_c,
-            ambient_c: &self.ambient_c,
-            g_ds: &self.g_ds,
-            c_die: &self.c_die,
-            c_sink: &self.c_sink,
-            g_nat: &self.g_nat,
-            g_air: &self.g_air,
-            k_exp: &self.k_exp,
-            cond_cache: &mut self.cond_cache,
-            substep_cache: &mut self.substep_cache,
-            fan_duty_pct: &mut self.fan_duty_pct,
-            fan_rpm: &mut self.fan_rpm,
-            fan_failed: &self.fan_failed,
-            fan_stuck: &self.fan_stuck,
-            fan_max_rpm: &self.fan_max_rpm,
-            fan_stall: &self.fan_stall,
-            fan_tau: &self.fan_tau,
-            fan_max_w: &self.fan_max_w,
-            fan_lag_cache: &mut self.fan_lag_cache,
-            chip_auto: &self.chip_auto,
-            chip_measured: &mut self.chip_measured,
-            chip_pwm: &mut self.chip_pwm,
-            chip_pwm_min: &self.chip_pwm_min,
-            chip_pwm_max: &self.chip_pwm_max,
-            chip_tmin: &self.chip_tmin,
-            chip_tmax: &self.chip_tmax,
-            cpu_cond: &mut self.cpu_cond,
-            throttle_events: &mut self.throttle_events,
-            activity: &self.activity,
-            sleep_gate: &self.sleep_gate,
-            top_v: &self.top_v,
-            top_f: &self.top_f,
-            req_v: &self.req_v,
-            req_f: &self.req_f,
-            min_v: &self.min_v,
-            min_f: &self.min_f,
-            leak_ref_w: &self.leak_ref_w,
-            leak_coeff: &self.leak_coeff,
-            leak_tref: &self.leak_tref,
-            dyn_max_w: &self.dyn_max_w,
-            mon_throttle_c: &self.mon_throttle_c,
-            mon_shutdown_c: &self.mon_shutdown_c,
-            mon_hyst_c: &self.mon_hyst_c,
-            psu_eff: &self.psu_eff,
-            base_w: &self.base_w,
-            m_period: &self.m_period,
-            m_since: &mut self.m_since,
-            m_window: &mut self.m_window,
-            m_total_e: &mut self.m_total_e,
-            m_total_t: &mut self.m_total_t,
-            m_stats: &mut self.m_stats,
-            m_last: &mut self.m_last,
-        }
-    }
-
-    /// One batched physics tick for slot `i` — the exact `Node::tick` chain
+    /// One physics tick over every slot — the exact `Node::tick` chain
     /// (chip remote diode → fan → CPU power → RC thermal → thermal monitor →
     /// meter) via the shared raw functions. The caller must have called
-    /// [`PhysicsBatch::begin_tick`] for this tick, and must only tick
-    /// non-passthrough slots (fast slots have no fault sources by
-    /// construction, so the fault-delivery prologue of `Node::tick` is a
-    /// no-op for them).
-    #[inline]
-    pub fn tick_node(&mut self, i: usize, dt_s: f64) {
-        debug_assert!(!self.passthrough[i], "passthrough slots tick on the scalar path");
-        tick_slot(&mut self.hot(), i, dt_s);
-    }
-
-    /// Pure-lane tick over every slot — only valid when [`all_fast`] holds.
-    /// The caller must have called [`PhysicsBatch::begin_tick`].
-    ///
-    /// [`all_fast`]: PhysicsBatch::all_fast
+    /// [`PhysicsBatch::begin_tick`] and delivered any faults due this tick
+    /// (see the [module docs](self)).
     pub fn tick_all(&mut self, dt_s: f64) {
-        debug_assert!(self.all_fast(), "tick_all requires a fully batchable range");
         let len = self.len;
-        // Same per-node operation order as [`tick_slot`], restructured into
-        // one loop per physics stage. Nodes are independent within a tick,
-        // so interleaving stage N of node A with stage M of node B cannot
+        // The `Node::tick` operation order per node, restructured into one
+        // loop per physics stage. Nodes are independent within a tick, so
+        // interleaving stage N of node A with stage M of node B cannot
         // change any node's arithmetic — each slot still sees the exact
         // `Node::tick` sequence, bit for bit. The narrow loops keep live
         // state in registers and let the compiler vectorize the straight-
-        // line stages (the fused loop spills constantly: ~50 live lanes).
+        // line stages (a fused per-node loop spills: ~50 live lanes).
 
         // Stage 1: monitoring chip — temp sensor, auto PWM curve, duty latch.
         {
@@ -872,47 +775,10 @@ impl PhysicsBatch {
         }
     }
 
-    /// CPU power for slot `i` at a given die temperature — the exact
-    /// `Cpu::power_w` law over lanes.
-    #[inline]
-    fn cpu_power_w(&self, i: usize, die_temp_c: f64) -> f64 {
-        let cond = self.cpu_cond[i];
-        let (eff_v, eff_f) = if cond == COND_NOMINAL {
-            (self.req_v[i], self.req_f[i])
-        } else {
-            (self.min_v[i], self.min_f[i])
-        };
-        cpu::power_raw(
-            cond == COND_SHUTDOWN,
-            self.top_v[i],
-            self.top_f[i],
-            eff_v,
-            eff_f,
-            self.leak_ref_w[i],
-            self.leak_coeff[i],
-            self.leak_tref[i],
-            self.dyn_max_w[i],
-            self.activity[i],
-            self.sleep_gate[i],
-            die_temp_c,
-        )
-    }
-
-    /// Heat dissipated into the air by slot `i`, W — the exact
-    /// `Node::heat_output_w` law (post-tick condition and die temperature).
-    pub fn heat_output_w(&self, i: usize) -> f64 {
-        self.cpu_power_w(i, self.die_c[i])
-            + fan::power_raw(self.fan_rpm[i], self.fan_max_rpm[i], self.fan_max_w[i])
-            + self.base_w[i]
-    }
-
-    /// Writes [`PhysicsBatch::heat_output_w`] of every slot into `out`
-    /// (pure-lane companion of [`PhysicsBatch::tick_all`]).
-    ///
-    /// Same expressions per slot as [`PhysicsBatch::heat_output_w`], but
-    /// over pinned slices — calling `heat_output_w` in a loop re-derives
-    /// every lane pointer through `&self` per slot, which is the dominant
-    /// cost of this pass on large fleets.
+    /// Writes the heat every slot dissipates into the air, W, into `out`
+    /// — the exact `Node::heat_output_w` law (post-tick condition and die
+    /// temperature), over pinned slices so the loop does not re-derive
+    /// every lane pointer through `&self` per slot.
     pub fn write_heat(&self, out: &mut [f64]) {
         let len = self.len;
         let out = &mut out[..len];
@@ -957,7 +823,7 @@ impl PhysicsBatch {
     }
 
     /// Drains the batched-tick counter for slot `i`: the number of
-    /// `tick_node` calls since the last drain. The owner folds this into the
+    /// `tick_all` calls since the last drain. The owner folds this into the
     /// node's `ticks_skipped` counter at sync points — each batched tick is
     /// exactly one control-plane tick that observed nothing, matching the
     /// scalar path's per-tick early-out accounting.
@@ -966,174 +832,31 @@ impl PhysicsBatch {
     }
 }
 
-/// The lanes [`tick_slot`] touches, borrowed out of the batch as plain
-/// slices (see [`PhysicsBatch::hot`] for why this exists).
-struct HotLanes<'a> {
-    skipped: &'a mut [u64],
-    die_c: &'a mut [f64],
-    sink_c: &'a mut [f64],
-    ambient_c: &'a [f64],
-    g_ds: &'a [f64],
-    c_die: &'a [f64],
-    c_sink: &'a [f64],
-    g_nat: &'a [f64],
-    g_air: &'a [f64],
-    k_exp: &'a [f64],
-    cond_cache: &'a mut [(f64, f64)],
-    substep_cache: &'a mut [(f64, f64, usize, f64)],
-    fan_duty_pct: &'a mut [u8],
-    fan_rpm: &'a mut [f64],
-    fan_failed: &'a [bool],
-    fan_stuck: &'a [bool],
-    fan_max_rpm: &'a [f64],
-    fan_stall: &'a [f64],
-    fan_tau: &'a [f64],
-    fan_max_w: &'a [f64],
-    fan_lag_cache: &'a mut [(f64, f64)],
-    chip_auto: &'a [bool],
-    chip_measured: &'a mut [f64],
-    chip_pwm: &'a mut [u8],
-    chip_pwm_min: &'a [u8],
-    chip_pwm_max: &'a [u8],
-    chip_tmin: &'a [u8],
-    chip_tmax: &'a [u8],
-    cpu_cond: &'a mut [u8],
-    throttle_events: &'a mut [u64],
-    activity: &'a [f64],
-    sleep_gate: &'a [f64],
-    top_v: &'a [f64],
-    top_f: &'a [f64],
-    req_v: &'a [f64],
-    req_f: &'a [f64],
-    min_v: &'a [f64],
-    min_f: &'a [f64],
-    leak_ref_w: &'a [f64],
-    leak_coeff: &'a [f64],
-    leak_tref: &'a [f64],
-    dyn_max_w: &'a [f64],
-    mon_throttle_c: &'a [f64],
-    mon_shutdown_c: &'a [f64],
-    mon_hyst_c: &'a [f64],
-    psu_eff: &'a [f64],
-    base_w: &'a [f64],
-    m_period: &'a [f64],
-    m_since: &'a mut [f64],
-    m_window: &'a mut [f64],
-    m_total_e: &'a mut [f64],
-    m_total_t: &'a mut [f64],
-    m_stats: &'a mut [RunningStats],
-    m_last: &'a mut [Option<f64>],
-}
-
-/// The per-slot tick body shared by [`PhysicsBatch::tick_node`] and
-/// [`PhysicsBatch::tick_all`] — the exact `Node::tick` operation order over
-/// lanes.
-#[inline]
-fn tick_slot(l: &mut HotLanes<'_>, i: usize, dt_s: f64) {
-    l.skipped[i] += 1;
-
-    // The chip's remote diode tracks the die continuously.
-    let die = l.die_c[i];
-    assert!(die.is_finite(), "measured temperature must be finite");
-    l.chip_measured[i] = die;
-    if l.chip_auto[i] {
-        l.chip_pwm[i] = adt7467::static_curve_duty_raw(
-            l.chip_pwm_min[i],
-            l.chip_pwm_max[i],
-            l.chip_tmin[i],
-            l.chip_tmax[i],
-            die,
-        )
-        .to_register();
-    }
-    if !l.fan_stuck[i] {
-        l.fan_duty_pct[i] = DutyCycle::from_register(l.chip_pwm[i]).percent();
-    }
-
-    let target = fan::target_rpm_raw(
-        l.fan_failed[i],
-        DutyCycle::new(l.fan_duty_pct[i]).fraction(),
-        l.fan_stall[i],
-        l.fan_max_rpm[i],
-    );
-    fan::step_raw(&mut l.fan_rpm[i], target, dt_s, l.fan_tau[i], &mut l.fan_lag_cache[i]);
-
-    // CPU power at the pre-step die temperature, like Node::tick.
-    let cond = l.cpu_cond[i];
-    let (eff_v, eff_f) =
-        if cond == COND_NOMINAL { (l.req_v[i], l.req_f[i]) } else { (l.min_v[i], l.min_f[i]) };
-    let cpu_power = cpu::power_raw(
-        cond == COND_SHUTDOWN,
-        l.top_v[i],
-        l.top_f[i],
-        eff_v,
-        eff_f,
-        l.leak_ref_w[i],
-        l.leak_coeff[i],
-        l.leak_tref[i],
-        l.dyn_max_w[i],
-        l.activity[i],
-        l.sleep_gate[i],
-        die,
-    );
-
-    let airflow = (l.fan_rpm[i] / l.fan_max_rpm[i]).clamp(0.0, 1.0);
-    thermal::step_raw(
-        &mut l.die_c[i],
-        &mut l.sink_c[i],
-        l.ambient_c[i],
-        l.g_ds[i],
-        l.c_die[i],
-        l.c_sink[i],
-        l.g_nat[i],
-        l.g_air[i],
-        l.k_exp[i],
-        &mut l.cond_cache[i],
-        &mut l.substep_cache[i],
-        dt_s,
-        cpu_power,
-        airflow,
-    );
-
-    let mut cond = cond_from_u8(l.cpu_cond[i]);
-    cpu::monitor_raw(
-        &mut cond,
-        &mut l.throttle_events[i],
-        l.die_c[i],
-        l.mon_throttle_c[i],
-        l.mon_shutdown_c[i],
-        l.mon_hyst_c[i],
-    );
-    l.cpu_cond[i] = cond_to_u8(cond);
-
-    let dc_power =
-        cpu_power + fan::power_raw(l.fan_rpm[i], l.fan_max_rpm[i], l.fan_max_w[i]) + l.base_w[i];
-    power::observe_raw(
-        l.psu_eff[i],
-        l.m_period[i],
-        &mut l.m_since[i],
-        &mut l.m_window[i],
-        &mut l.m_total_e[i],
-        &mut l.m_total_t[i],
-        &mut l.m_stats[i],
-        &mut l.m_last[i],
-        dt_s,
-        dc_power,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adt7467::regs;
     use crate::config::NodeConfig;
+    use crate::faults::{FaultEvent, FaultPlan, TickFaultSchedule};
 
     /// Drives a scalar node and a 1-slot batch through the same tick
-    /// sequence and asserts bit-identical state after store-back.
-    fn assert_lockstep(mut cfg_mutate: impl FnMut(&mut NodeConfig), util: f64, ticks: u32) {
+    /// sequence and fault schedules — the batch delivering faults through
+    /// the store → deliver → load sync, as the cluster's pass B does — and
+    /// asserts bit-identical state, fault log and sensor path after
+    /// store-back.
+    fn assert_lockstep_with_faults(
+        mut cfg_mutate: impl FnMut(&mut NodeConfig),
+        util: f64,
+        ticks: u32,
+        plan: FaultPlan,
+        schedule: TickFaultSchedule,
+    ) {
         let mut cfg = NodeConfig::default();
         cfg_mutate(&mut cfg);
-        let mut scalar = Node::new(cfg.clone(), 42);
-        let mut batched = Node::new(cfg, 42);
+        let mut scalar = Node::with_faults(cfg.clone(), 42, plan.clone());
+        let mut batched = Node::with_faults(cfg, 42, plan);
+        scalar.set_tick_faults(schedule.clone());
+        batched.set_tick_faults(schedule);
         scalar.set_utilization(util);
         batched.set_utilization(util);
 
@@ -1142,8 +865,15 @@ mod tests {
         for _ in 0..ticks {
             scalar.tick(dt);
             batch.begin_tick(dt);
-            batch.tick_node(0, dt);
+            if batched.has_fault_due(batch.ticks(), batch.time_s()) {
+                batch.store(0, &mut batched);
+                batched.deliver_due_faults();
+                batch.load(0, &batched);
+            }
+            batch.tick_all(dt);
         }
+        let mut heat = [0.0];
+        batch.write_heat(&mut heat);
         batch.store(0, &mut batched);
 
         assert_eq!(scalar.state(), batched.state());
@@ -1151,7 +881,28 @@ mod tests {
         assert_eq!(scalar.time_s().to_bits(), batched.time_s().to_bits());
         assert_eq!(scalar.meter().energy_j().to_bits(), batched.meter().energy_j().to_bits());
         assert_eq!(scalar.heat_output_w().to_bits(), batched.heat_output_w().to_bits());
+        assert_eq!(heat[0].to_bits(), scalar.heat_output_w().to_bits());
         assert_eq!(batch.take_skipped(0), u64::from(ticks));
+        assert_eq!(scalar.fault_log(), batched.fault_log());
+        assert_eq!(scalar.fan().is_failed(), batched.fan().is_failed());
+        assert_eq!(scalar.fan().is_pwm_stuck(), batched.fan().is_pwm_stuck());
+        // Cold state the lanes never carry (sensor noise stream, jitter,
+        // dropout latch, i2c NACK) must have moved identically too.
+        assert_eq!(scalar.read_hottest_sensor(), batched.read_hottest_sensor());
+        assert_eq!(
+            scalar.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT),
+            batched.smbus_read(ADT7467_ADDR, regs::PWM_CURRENT)
+        );
+    }
+
+    fn assert_lockstep(cfg_mutate: impl FnMut(&mut NodeConfig), util: f64, ticks: u32) {
+        assert_lockstep_with_faults(
+            cfg_mutate,
+            util,
+            ticks,
+            FaultPlan::none(),
+            TickFaultSchedule::none(),
+        );
     }
 
     #[test]
@@ -1177,22 +928,32 @@ mod tests {
     }
 
     #[test]
+    fn every_fault_kind_delivers_bit_identically_through_the_sync() {
+        // Every FaultEvent kind, time- and tick-addressed, including a tick
+        // where both schedules land (tick 1300 = 65 s: the tick-addressed
+        // event must log first on both paths).
+        let plan = FaultPlan::none()
+            .at(10.0, FaultEvent::FanFailure)
+            .at(20.0, FaultEvent::AmbientStep(35.0))
+            .at(30.0, FaultEvent::SensorDropout)
+            .at(35.0, FaultEvent::I2cFailure)
+            .at(45.0, FaultEvent::FanRepair)
+            .at(50.0, FaultEvent::SensorRestore)
+            .at(55.0, FaultEvent::I2cRecovery)
+            .at(64.999, FaultEvent::FanFailure);
+        let schedule = TickFaultSchedule::none()
+            .at_tick(100, FaultEvent::PwmStuck)
+            .at_tick(500, FaultEvent::SensorJitter(2.0))
+            .at_tick(800, FaultEvent::PwmRelease)
+            .at_tick(1200, FaultEvent::SensorJitter(0.0))
+            .at_tick(1300, FaultEvent::AmbientStep(25.0));
+        assert_lockstep_with_faults(|_| {}, 1.0, 2_000, plan, schedule);
+    }
+
+    #[test]
     fn speed_factor_matches_scalar() {
         let node = Node::new(NodeConfig::default(), 7);
         let batch = PhysicsBatch::from_nodes([&node]);
         assert_eq!(batch.speed_factor(0).to_bits(), node.speed_factor().to_bits());
-    }
-
-    #[test]
-    fn passthrough_bookkeeping() {
-        let node = Node::new(NodeConfig::default(), 7);
-        let mut batch = PhysicsBatch::from_nodes([&node]);
-        assert!(batch.all_fast());
-        batch.set_passthrough(0, true);
-        batch.set_passthrough(0, true); // idempotent
-        assert!(batch.is_passthrough(0));
-        assert!(!batch.all_fast());
-        batch.set_passthrough(0, false);
-        assert!(batch.all_fast());
     }
 }

@@ -83,18 +83,21 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Drains all events due at or before `now_s`, in schedule order.
-    pub fn due(&mut self, now_s: f64) -> Vec<FaultEvent> {
-        let mut out = Vec::new();
-        while let Some(&(t, ev)) = self.events.get(self.cursor) {
-            if t <= now_s {
-                out.push(ev);
-                self.cursor += 1;
-            } else {
-                break;
-            }
+    /// True when the next undelivered event is due at or before `now_s`.
+    pub fn is_due(&self, now_s: f64) -> bool {
+        self.events.get(self.cursor).is_some_and(|&(t, _)| t <= now_s)
+    }
+
+    /// Pops the next event due at or before `now_s`, if any. Call in a loop
+    /// to drain a tick's events, in schedule order, without allocating.
+    pub fn pop_due(&mut self, now_s: f64) -> Option<FaultEvent> {
+        let &(t, ev) = self.events.get(self.cursor)?;
+        if t <= now_s {
+            self.cursor += 1;
+            Some(ev)
+        } else {
+            None
         }
-        out
     }
 
     /// Remaining undelivered events.
@@ -165,6 +168,11 @@ impl TickFaultSchedule {
         &self.events
     }
 
+    /// True when the next undelivered event is due at or before `tick`.
+    pub fn is_due(&self, tick: u64) -> bool {
+        self.events.get(self.cursor).is_some_and(|&(t, _)| t <= tick)
+    }
+
     /// Pops the next event due at or before `tick`, if any. Call in a loop
     /// to drain a tick's events without allocating.
     pub fn pop_due(&mut self, tick: u64) -> Option<FaultEvent> {
@@ -229,34 +237,42 @@ mod tests {
             .at(5.0, FaultEvent::AmbientStep(30.0))
             .at(20.0, FaultEvent::FanRepair);
         assert_eq!(plan.len(), 3);
-        assert_eq!(plan.due(4.9), vec![]);
-        assert_eq!(plan.due(5.0), vec![FaultEvent::AmbientStep(30.0)]);
-        assert_eq!(plan.due(15.0), vec![FaultEvent::FanFailure]);
+        assert!(!plan.is_due(4.9));
+        assert_eq!(plan.pop_due(4.9), None);
+        assert!(plan.is_due(5.0));
+        assert_eq!(plan.pop_due(5.0), Some(FaultEvent::AmbientStep(30.0)));
+        assert_eq!(plan.pop_due(5.0), None);
+        assert_eq!(plan.pop_due(15.0), Some(FaultEvent::FanFailure));
+        assert_eq!(plan.pop_due(15.0), None);
         assert_eq!(plan.pending(), 1);
-        assert_eq!(plan.due(100.0), vec![FaultEvent::FanRepair]);
+        assert_eq!(plan.pop_due(100.0), Some(FaultEvent::FanRepair));
         assert_eq!(plan.pending(), 0);
-        assert_eq!(plan.due(200.0), vec![]);
+        assert!(!plan.is_due(200.0));
+        assert_eq!(plan.pop_due(200.0), None);
     }
 
     #[test]
     fn simultaneous_events_keep_insertion_order() {
         let mut plan =
             FaultPlan::none().at(5.0, FaultEvent::FanFailure).at(5.0, FaultEvent::SensorDropout);
-        assert_eq!(plan.due(5.0), vec![FaultEvent::FanFailure, FaultEvent::SensorDropout]);
+        assert_eq!(plan.pop_due(5.0), Some(FaultEvent::FanFailure));
+        assert_eq!(plan.pop_due(5.0), Some(FaultEvent::SensorDropout));
+        assert_eq!(plan.pop_due(5.0), None);
     }
 
     #[test]
     fn empty_plan() {
         let mut plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert_eq!(plan.due(1e9), vec![]);
+        assert!(!plan.is_due(1e9));
+        assert_eq!(plan.pop_due(1e9), None);
     }
 
     #[test]
     #[should_panic(expected = "after delivery started")]
     fn cannot_extend_after_delivery() {
         let mut plan = FaultPlan::none().at(1.0, FaultEvent::FanFailure);
-        let _ = plan.due(2.0);
+        let _ = plan.pop_due(2.0);
         let _ = plan.at(3.0, FaultEvent::FanRepair);
     }
 
@@ -273,7 +289,9 @@ mod tests {
             .at_tick(40, FaultEvent::PwmStuck)
             .at_tick(40, FaultEvent::SensorJitter(0.5));
         assert_eq!(sched.len(), 3);
+        assert!(!sched.is_due(39));
         assert_eq!(sched.pop_due(39), None);
+        assert!(sched.is_due(40));
         assert_eq!(sched.pop_due(40), Some(FaultEvent::PwmStuck));
         assert_eq!(sched.pop_due(40), Some(FaultEvent::SensorJitter(0.5)));
         assert_eq!(sched.pop_due(40), None);

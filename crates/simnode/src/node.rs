@@ -179,10 +179,33 @@ impl Node {
     }
 
     /// True when this node has any scheduled fault sources (time- or
-    /// tick-addressed). Such nodes must take the scalar tick path in batched
-    /// simulations so fault delivery and logging semantics stay unchanged.
+    /// tick-addressed). A batched simulation lists such nodes per shard and
+    /// checks only them for [`Node::has_fault_due`] each tick; delivery
+    /// itself always goes through [`Node::deliver_due_faults`].
     pub fn has_fault_sources(&self) -> bool {
         !self.faults.is_empty() || !self.tick_faults.is_empty()
+    }
+
+    /// True when a fault is due on tick `tick` at time `time_s` — the
+    /// values [`Node::tick`] would hold after its prologue. Lets a batched
+    /// owner, whose lanes carry the live tick counter, skip the store →
+    /// deliver → load sync on the (usual) ticks where nothing lands.
+    pub fn has_fault_due(&self, tick: u64, time_s: f64) -> bool {
+        self.tick_faults.is_due(tick) || self.faults.is_due(time_s)
+    }
+
+    /// Delivers every fault due at the node's current tick and time:
+    /// tick-addressed events first, then the time-addressed plan, each
+    /// logged with the tick it landed on. [`Node::tick`] calls this right
+    /// after advancing its counters; a batched owner calls it between
+    /// storing a slot and loading it back. Allocation-free.
+    pub fn deliver_due_faults(&mut self) {
+        while let Some(ev) = self.tick_faults.pop_due(self.ticks) {
+            self.apply_fault(ev);
+        }
+        while let Some(ev) = self.faults.pop_due(self.time_s) {
+            self.apply_fault(ev);
+        }
     }
 
     /// Configuration the node was built from.
@@ -200,13 +223,7 @@ impl Node {
         assert!(dt_s > 0.0, "time step must be positive");
         self.ticks += 1;
         self.time_s += dt_s;
-
-        while let Some(ev) = self.tick_faults.pop_due(self.ticks) {
-            self.apply_fault(ev);
-        }
-        for ev in self.faults.due(self.time_s) {
-            self.apply_fault(ev);
-        }
+        self.deliver_due_faults();
 
         // The chip's remote diode tracks the die continuously.
         let die = self.thermal.die_temp_c();

@@ -10,12 +10,12 @@
 //! Regenerate snapshots (only when a behaviour change is *intended*) with:
 //! `UNITHERM_UPDATE_GOLDEN=1 cargo test --test control_plane_parity`
 //!
-//! `UNITHERM_GOLDEN_THREADS=N` asks every scenario for N intra-run
-//! threads; the snapshots must not move (CI regenerates with 4 threads and
-//! diffs against the committed serial traces). The golden scenarios are
-//! far smaller than `MIN_NODES_PER_SHARD` nodes, so they run at width 1
-//! whatever N says: pool bit-identity is pinned by `tests/parallel_tick.rs`
-//! on fleets sized for 2/4/7 shards.
+//! `UNITHERM_GOLDEN_SCALAR=1` runs every cluster scenario on the scalar
+//! per-node tick (`Scenario::force_scalar`), the reference the physics
+//! lanes are checked against; the snapshots must not move (CI regenerates
+//! on the scalar path and diffs against the committed traces). Pool
+//! bit-identity is pinned by `tests/parallel_tick.rs` on fleets sized for
+//! 2/4/7 shards.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -132,14 +132,11 @@ fn base(name: &str) -> Scenario {
 }
 
 fn check_scenario(name: &str, scenario: Scenario) {
-    // The sharded tick loop is bit-identical to the serial one, so golden
-    // traces hold at any thread count (tests/parallel_tick.rs pins the full
-    // report; this pins it against the committed serial snapshots too).
-    let threads: usize = std::env::var("UNITHERM_GOLDEN_THREADS")
-        .ok()
-        .map(|v| v.parse().expect("UNITHERM_GOLDEN_THREADS must be a thread count"))
-        .unwrap_or(1);
-    let report = Simulation::new(scenario.with_threads(threads)).run();
+    // The lanes and the scalar tick are bit-identical, so golden traces
+    // hold on either route (tests/scalar_batch_equivalence.rs pins the full
+    // report; this pins both against the committed snapshots too).
+    let scalar = std::env::var_os("UNITHERM_GOLDEN_SCALAR").is_some();
+    let report = Simulation::new(scenario.with_force_scalar(scalar)).run();
     assert_matches_golden(name, &fingerprint(&report));
 }
 
